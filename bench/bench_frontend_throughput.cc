@@ -6,22 +6,17 @@
 // baseline digest — a digest mismatch means the frontend rewrite changed
 // analysis results and the bench exits nonzero no matter the flags.
 //
-// The SIMD/SWAR frontend (PR 8) adds two sections on top: the lex stage is
-// measured on both the block-scan fast tier and the forced-scalar reference
-// (their token streams are asserted identical by tests/test_block_scan.cc;
-// here they are separate throughput rows), and bulk ingestion is measured at
-// ingest_parallelism 1/2/4/8 over the corpus joined into one script. Every
-// shard count must produce the same report digest — that identity is
-// unconditional, like the baseline digest check.
+// The lex stage is measured on both the block-scan fast tier and the
+// forced-scalar reference (their token streams are asserted identical by
+// tests/test_block_scan.cc; here they are separate throughput rows).
 //
 // Gate policy: --gate enforces only SAME-RUN ratios — both sides measured in
 // this process on this machine — because absolute throughput floors recorded
 // on one container are not portable to another (a slower CI host fails them
 // with the optimization fully intact, which is exactly what happened to the
 // recorded-constant gates this bench originally shipped with). Under --gate
-// the fast lex tier must clear 1.25x the same-run scalar tier, and on hosts
-// with >=4 hardware threads 4-way sharded ingestion must clear 1.5x serial
-// ingestion. The cross-host ratios against the recorded baseline and the
+// the fast lex tier must clear 1.25x the same-run scalar tier. The
+// cross-host ratios against the recorded baseline and the
 // PR-7-era lexer are still measured and written to the JSON as informational
 // fields. A failed run refuses to write BENCH_frontend.json at all, so a red
 // bench can never leave behind an artifact that looks like a measurement.
@@ -44,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/session.h"
 #include "core/sqlcheck.h"
 #include "sql/block_scan.h"
 #include "sql/lexer.h"
@@ -113,20 +107,12 @@ constexpr double kPrevLexMBs = 325.37;
 // *scalar* confirms the SIMD tiers are doing real work on top of that.
 constexpr double kLexFastVsScalarFloor = 1.25;
 
-/// One bulk-ingestion measurement: AddScript + Snapshot at a shard count.
-struct IngestRow {
-  int shards = 0;
-  double stmts_per_sec = 0.0;
-  uint64_t digest = 0;
-};
-
 struct Measurement {
   double lex_mbs = 0.0;         ///< Block-scan fast tier (SSE2/NEON/SWAR).
   double lex_scalar_mbs = 0.0;  ///< Forced-scalar reference path.
   double lex_parse_mbs = 0.0;
   double run_stmts_per_sec = 0.0;
   double run_with_fixes_stmts_per_sec = 0.0;
-  std::vector<IngestRow> ingest;  ///< Sharded bulk ingestion, 1/2/4/8 shards.
   uint64_t digest = 0;
   size_t statements = 0;
   size_t bytes = 0;
@@ -245,38 +231,6 @@ Measurement Measure(const std::vector<std::string>& statements) {
     m.run_with_fixes_stmts_per_sec = static_cast<double>(m.statements) / secs;
   }
 
-  // Sharded bulk ingestion: the whole corpus as one script through
-  // AnalysisSession::AddScript at ingest_parallelism 1/2/4/8, snapshot
-  // included (the merge is part of the cost being measured). The digest of
-  // every row must match — main() enforces that identity unconditionally.
-  {
-    std::string script;
-    script.reserve(m.bytes + 2 * m.statements);
-    for (const auto& s : statements) {
-      script += s;
-      script += ";\n";
-    }
-    for (int shards : {1, 2, 4, 8}) {
-      SqlCheckOptions opt;
-      opt.suggest_fixes = false;
-      opt.ingest_parallelism = shards;
-      IngestRow row;
-      row.shards = shards;
-      size_t count = 0;
-      double secs = TimedReps(0.6, [&] {
-        AnalysisSession session(opt);
-        count = session.AddScript(script);
-        row.digest = DigestReport(session.Snapshot());
-      });
-      if (count != m.statements) {
-        std::fprintf(stderr, "FAIL: %d-shard ingest saw %zu statements, want %zu\n",
-                     shards, count, m.statements);
-        std::exit(1);
-      }
-      row.stmts_per_sec = static_cast<double>(count) / secs;
-      m.ingest.push_back(row);
-    }
-  }
   return m;
 }
 
@@ -306,29 +260,17 @@ void WriteJson(const Measurement& m, int repo_count, bool gated, bool passed) {
                "  \"lex_speedup\": %.2f,\n"
                "  \"lex_speedup_vs_prev\": %.2f,\n"
                "  \"lex_parse_speedup\": %.2f,\n"
-               "  \"run_speedup\": %.2f,\n",
+               "  \"run_speedup\": %.2f,\n"
+               "  \"digest_matches_baseline\": %s,\n"
+               "  \"gate\": %s\n"
+               "}\n",
                repo_count, m.statements, m.bytes, sql::blockscan::FastTierName(),
                std::thread::hardware_concurrency(), m.lex_mbs, m.lex_scalar_mbs,
                m.lex_parse_mbs, m.run_stmts_per_sec, m.run_with_fixes_stmts_per_sec,
                kBaselineLexMBs, kBaselineLexParseMBs, kBaselineRunStmtsPerSec,
                kPrevLexMBs, m.lex_mbs / kBaselineLexMBs, m.lex_mbs / kPrevLexMBs,
                m.lex_parse_mbs / kBaselineLexParseMBs,
-               m.run_stmts_per_sec / kBaselineRunStmtsPerSec);
-  std::fprintf(f, "  \"ingest_scaling\": [\n");
-  for (size_t i = 0; i < m.ingest.size(); ++i) {
-    const IngestRow& row = m.ingest[i];
-    std::fprintf(f,
-                 "    {\"shards\": %d, \"stmts_per_s\": %.0f, "
-                 "\"digest_matches_serial\": %s}%s\n",
-                 row.shards, row.stmts_per_sec,
-                 row.digest == m.ingest.front().digest ? "true" : "false",
-                 i + 1 < m.ingest.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"digest_matches_baseline\": %s,\n"
-               "  \"gate\": %s\n"
-               "}\n",
+               m.run_stmts_per_sec / kBaselineRunStmtsPerSec,
                m.digest == kBaselineDigest ? "true" : "false",
                gated ? (passed ? "\"pass\"" : "\"fail\"") : "\"not-run\"");
   std::fclose(f);
@@ -390,12 +332,6 @@ int main(int argc, char** argv) {
               m.run_stmts_per_sec / kBaselineRunStmtsPerSec);
   std::printf("  batch Run()+fix %8.0f stmt/s (fix suggestion + verification)\n",
               m.run_with_fixes_stmts_per_sec);
-  for (const IngestRow& row : m.ingest) {
-    std::printf("  ingest x%d       %8.0f stmt/s (%5.2fx serial, digest %s)\n",
-                row.shards, row.stmts_per_sec,
-                row.stmts_per_sec / m.ingest.front().stmts_per_sec,
-                row.digest == m.ingest.front().digest ? "ok" : "MISMATCH");
-  }
   std::printf("  report digest   %llu\n", static_cast<unsigned long long>(m.digest));
 
   if (record) {
@@ -413,9 +349,7 @@ int main(int argc, char** argv) {
   }
 
   // Digest identity is hardware-independent and therefore unconditional: the
-  // zero-copy frontend must not change a single detection byte, and sharded
-  // bulk ingestion must reproduce serial ingestion exactly at every shard
-  // count (and match the per-AddQuery batch digest).
+  // zero-copy frontend must not change a single detection byte.
   bool ok = true;
   if (repo_count == kBaselineRepoCount && m.digest != kBaselineDigest) {
     std::fprintf(stderr,
@@ -423,15 +357,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(m.digest),
                  static_cast<unsigned long long>(kBaselineDigest));
     ok = false;
-  }
-  for (const IngestRow& row : m.ingest) {
-    if (row.digest != m.digest) {
-      std::fprintf(stderr,
-                   "FAIL: %d-shard ingest digest %llu != batch digest %llu\n",
-                   row.shards, static_cast<unsigned long long>(row.digest),
-                   static_cast<unsigned long long>(m.digest));
-      ok = false;
-    }
   }
 
   // Only same-run ratios gate: both sides are measured in this process on
@@ -445,21 +370,6 @@ int main(int argc, char** argv) {
                    "FAIL: fast lex %.2f MB/s < %.2fx same-run scalar %.2f MB/s\n",
                    m.lex_mbs, kLexFastVsScalarFloor, m.lex_scalar_mbs);
       gate_passed = false;
-    }
-    // The shard-scaling ratio gate needs the cores to scale onto; the digest
-    // identity above runs everywhere regardless.
-    if (std::thread::hardware_concurrency() >= 4) {
-      const double serial = m.ingest.front().stmts_per_sec;
-      double four = 0.0;
-      for (const IngestRow& row : m.ingest) {
-        if (row.shards == 4) four = row.stmts_per_sec;
-      }
-      if (four < 1.5 * serial) {
-        std::fprintf(stderr,
-                     "FAIL: 4-shard ingest %.0f stmt/s < 1.5x serial %.0f stmt/s\n",
-                     four, serial);
-        gate_passed = false;
-      }
     }
   }
 

@@ -14,64 +14,20 @@ namespace sqlcheck {
 
 std::vector<const QueryFacts*> Context::QueriesReferencing(std::string_view table) const {
   std::vector<const QueryFacts*> out;
-  if (stats_.statement_count() == query_facts_.size()) {
-    const std::vector<size_t>* refs = stats_.StatementsReferencing(table);
-    if (refs != nullptr) {
-      out.reserve(refs->size());
-      for (size_t i : *refs) out.push_back(&query_facts_[i]);
-    }
-    return out;
-  }
-  // Fallback scan for contexts whose aggregates were never populated.
-  for (const auto& facts : query_facts_) {
-    if (facts.ReferencesTable(table)) out.push_back(&facts);
+  const std::vector<size_t>* refs = stats_.StatementsReferencing(table);
+  if (refs != nullptr) {
+    out.reserve(refs->size());
+    for (size_t i : *refs) out.push_back(&query_facts_[i]);
   }
   return out;
 }
 
 int Context::EqualityUseCount(std::string_view table, std::string_view column) const {
-  if (stats_.statement_count() == query_facts_.size()) {
-    return stats_.EqualityUseCount(table, column);
-  }
-  int count = 0;
-  for (const auto& facts : query_facts_) {
-    for (const auto& p : facts.predicates) {
-      if ((p.op == "=" || p.op == "==" || p.op == "IN") &&
-          EqualsIgnoreCase(p.column, column) &&
-          (p.table.empty() || EqualsIgnoreCase(p.table, table))) {
-        // Unqualified predicates only count when the query touches the table.
-        if (!p.table.empty() || facts.ReferencesTable(table)) ++count;
-      }
-    }
-    for (const auto& j : facts.joins) {
-      if (j.expression_join) continue;
-      if (EqualsIgnoreCase(j.left_table, table) && EqualsIgnoreCase(j.left_column, column)) {
-        ++count;
-      }
-      if (EqualsIgnoreCase(j.right_table, table) &&
-          EqualsIgnoreCase(j.right_column, column)) {
-        ++count;
-      }
-    }
-  }
-  return count;
+  return stats_.EqualityUseCount(table, column);
 }
 
 bool Context::TablesJoined(std::string_view left, std::string_view right) const {
-  if (stats_.statement_count() == query_facts_.size()) {
-    return stats_.TablesJoined(left, right);
-  }
-  for (const auto& facts : query_facts_) {
-    for (const auto& j : facts.joins) {
-      if (j.expression_join) continue;
-      bool forward = EqualsIgnoreCase(j.left_table, left) &&
-                     EqualsIgnoreCase(j.right_table, right);
-      bool backward = EqualsIgnoreCase(j.left_table, right) &&
-                      EqualsIgnoreCase(j.right_table, left);
-      if (forward || backward) return true;
-    }
-  }
-  return false;
+  return stats_.TablesJoined(left, right);
 }
 
 bool Context::ForeignKeyExists(std::string_view left, std::string_view right) const {
@@ -102,10 +58,6 @@ void ContextBuilder::AddScript(std::string_view script) {
   for (auto& stmt : sql::ParseScript(script, arena_.get(), &buffer_)) {
     statements_.push_back(std::move(stmt));
   }
-}
-
-void ContextBuilder::AddStatement(sql::StatementPtr stmt) {
-  statements_.push_back(std::move(stmt));
 }
 
 void ContextBuilder::AttachDatabase(const Database* db, DataAnalyzerOptions options) {

@@ -58,6 +58,10 @@ class Context {
   /// Maintained workload aggregates backing the queryable interface below.
   /// ContextBuilder populates them at Build(); AnalysisSession folds each
   /// statement in as it streams, so the O(1) answers stay current.
+  /// Invariant: every statement in queries() has been folded in, i.e.
+  /// stats().statement_count() == queries().size(). ContextBuilder::Build and
+  /// AnalysisSession::IngestChunk are the only writers of either, so the
+  /// queryable interface answers from the aggregates alone.
   const WorkloadStats& stats() const { return stats_; }
 
   /// Case-insensitive table/column name table populated as statements fold
@@ -69,19 +73,9 @@ class Context {
   /// (moved Contexts keep the same arena).
   Arena* arena() { return arena_.get(); }
 
-  /// Parse-tree arena accounting across the primary arena and every arena
-  /// adopted from merged ingestion shards (quota checks and SessionUsage
-  /// must see the whole footprint, not just the primary arena).
-  size_t arena_reserved_bytes() const {
-    size_t total = arena_->bytes_reserved();
-    for (const auto& a : adopted_arenas_) total += a->bytes_reserved();
-    return total;
-  }
-  size_t arena_used_bytes() const {
-    size_t total = arena_->bytes_used();
-    for (const auto& a : adopted_arenas_) total += a->bytes_used();
-    return total;
-  }
+  /// Parse-tree arena accounting (quota checks and SessionUsage).
+  size_t arena_reserved_bytes() const { return arena_->bytes_reserved(); }
+  size_t arena_used_bytes() const { return arena_->bytes_used(); }
 
   // ------------------------ queryable interface ----------------------------
   /// Queries referencing a table.
@@ -113,11 +107,6 @@ class Context {
   /// incremental sessions can keep parsing into it). Held by pointer so the
   /// arena address survives Context moves.
   std::unique_ptr<Arena> arena_ = std::make_unique<Arena>();
-  /// Arenas inherited from merged ingestion shards: a shard parses into its
-  /// own arena, and when its statements move into this context the arena
-  /// moves with them so the trees stay valid. Append-only; freed with the
-  /// Context.
-  std::vector<std::unique_ptr<Arena>> adopted_arenas_;
   std::vector<sql::StatementPtr> statements_;  ///< Owned parse trees.
   std::vector<QueryFacts> query_facts_;
   QueryGroups query_groups_;
@@ -136,9 +125,6 @@ class ContextBuilder {
 
   /// Adds every statement in a script.
   void AddScript(std::string_view script);
-
-  /// Adds an already-parsed statement (takes ownership).
-  void AddStatement(sql::StatementPtr stmt);
 
   /// Attaches a live database: its schema becomes the catalog baseline and
   /// its tables are profiled by the data analyzer.

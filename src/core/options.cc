@@ -15,7 +15,6 @@ SqlCheckOptions SqlCheckOptions::Full() { return SqlCheckOptions{}; }
 SqlCheckOptions SqlCheckOptions::Parallel(int threads) {
   SqlCheckOptions options;
   options.parallelism = threads;
-  options.ingest_parallelism = threads;
   return options;
 }
 

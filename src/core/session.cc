@@ -237,37 +237,11 @@ size_t AnalysisSession::AddScript(std::string_view script) {
   failures_.clear();
   if (!GateAppend(script.size())) return 0;
   const size_t first = context_.statements_.size();
-  const int requested = ThreadPool::ResolveParallelism(options_.ingest_parallelism);
-  last_ingest_shards_ = 1;  // Updated below if a sharded path runs.
 
   if (!HardenedAppend()) {
     // The historical bulk path, untouched: no deadline, no budget, empty
     // quarantine, no armed failpoints — nothing to probe or recover, so pay
     // zero robustness overhead.
-    if (requested > 1) {
-      // Split once up front (the splitter returns trimmed, non-empty views
-      // into `script` — exactly the pieces ParseScript would parse), then
-      // either shard the parse+analyze work or fall back to serial when the
-      // script is too small to amortize a shard.
-      std::vector<std::string_view> pieces =
-          sql::SplitStatements(script, nullptr, &token_buffer_);
-      const int shards = static_cast<int>(std::min<size_t>(
-          static_cast<size_t>(requested), pieces.size() / kMinStatementsPerIngestShard));
-      if (shards > 1) {
-        last_ingest_shards_ = shards;
-        ParallelIngest(pieces, shards);
-        TrimScratch();
-        return context_.statements_.size() - first;
-      }
-      std::vector<sql::StatementPtr> stmts;
-      stmts.reserve(pieces.size());
-      for (std::string_view piece : pieces) {
-        stmts.push_back(sql::ParseStatement(piece, context_.arena(), &token_buffer_));
-      }
-      IngestChunk(std::move(stmts));
-      TrimScratch();
-      return context_.statements_.size() - first;
-    }
     std::vector<sql::StatementPtr> stmts =
         sql::ParseScript(script, context_.arena(), &token_buffer_);
     IngestChunk(std::move(stmts));
@@ -305,29 +279,6 @@ size_t AnalysisSession::AddScript(std::string_view script) {
     }
   }
 
-  // Sharded bulk load still applies when only fault tolerance (not
-  // per-statement timing) is needed: pre-filter quarantined pieces, then
-  // let the shard sessions absorb faults locally and fold their quarantine
-  // state back in MergeShard.
-  if (!deadline_.has_value() && options_.statement_budget_ms == 0 && requested > 1) {
-    std::vector<std::string_view> kept;
-    kept.reserve(pieces.size());
-    for (std::string_view piece : pieces) {
-      if (!QuarantineRefused(piece)) kept.push_back(piece);
-    }
-    const int shards = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(requested), kept.size() / kMinStatementsPerIngestShard));
-    if (shards > 1) {
-      last_ingest_shards_ = shards;
-      ParallelIngest(kept, shards);
-      TrimScratch();
-      return context_.statements_.size() - first;
-    }
-    for (std::string_view piece : kept) IngestPiece(piece);
-    TrimScratch();
-    return context_.statements_.size() - first;
-  }
-
   for (std::string_view piece : pieces) {
     if (DeadlineExpired()) {
       RecordFailure(piece, "deadline_exceeded",
@@ -340,199 +291,6 @@ size_t AnalysisSession::AddScript(std::string_view script) {
   }
   TrimScratch();
   return context_.statements_.size() - first;
-}
-
-void AnalysisSession::ParallelIngest(const std::vector<std::string_view>& pieces,
-                                     int shards) {
-  // Shard sessions share this session's analysis configuration (dedup mode,
-  // detector thresholds, disabled rules — the registry prefix must match for
-  // cache-row transfer) but run serial inside, carry no quotas (the owner
-  // gated the whole script already), and skip the fix machinery (shards
-  // never produce reports).
-  SqlCheckOptions shard_options = options_;
-  shard_options.parallelism = 1;
-  shard_options.ingest_parallelism = 1;
-  shard_options.suggest_fixes = false;
-  shard_options.verify_exec = ExecVerifyOptions{};
-  shard_options.limits = SessionLimits{};
-
-  std::vector<std::unique_ptr<AnalysisSession>> workers;
-  workers.reserve(static_cast<size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    workers.push_back(std::make_unique<AnalysisSession>(shard_options));
-  }
-
-  // Contiguous shards in script order: each worker parses into its own
-  // arena and interns into its own name table, completely lock-free.
-  ThreadPool pool(shards);
-  ParallelShards(
-      pieces.size(), shards,
-      [&workers, &pieces](int shard, size_t begin, size_t end) {
-        // Pool tasks must not throw: IngestRange absorbs parse faults into
-        // the shard's own failure log, which MergeShard folds back (its
-        // internals open their own failpoint scopes where they can recover).
-        workers[shard]->IngestRange(pieces, begin, end);
-      },
-      &pool);
-
-  // Serial fold, in shard order — which is script order, so the merged
-  // session reproduces serial ingestion exactly.
-  for (auto& worker : workers) MergeShard(std::move(*worker));
-}
-
-void AnalysisSession::IngestRange(const std::vector<std::string_view>& pieces,
-                                  size_t begin, size_t end) {
-  std::vector<sql::StatementPtr> stmts;
-  stmts.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    std::string error;
-    sql::StatementPtr stmt = ParseWithRetry(pieces[i], &error);
-    if (stmt == nullptr) {
-      Quarantine(pieces[i]);
-      RecordFailure(pieces[i], "internal_error",
-                    "statement parse failed persistently (" + error +
-                        "); fingerprint quarantined",
-                    /*quarantined=*/true);
-      continue;
-    }
-    stmts.push_back(std::move(stmt));
-  }
-  IngestChunk(std::move(stmts));
-}
-
-void AnalysisSession::MergeShard(AnalysisSession&& shard) {
-  // Robustness state folds first — a shard whose every statement failed
-  // carries failures and quarantine entries but zero statements, and those
-  // must survive the early return below. MergeShard runs serially on the
-  // owner thread (after the pool drained), but RecordFailure's mutex still
-  // guards the owner-side containers for uniformity.
-  {
-    std::lock_guard<std::mutex> lock(failures_mu_);
-    failures_recorded_ += shard.failures_recorded_;
-    for (auto& failure : shard.failures_) {
-      if (failures_.size() >= kMaxRecordedFailures) break;
-      failures_.push_back(std::move(failure));
-    }
-    // Keys() lists most-recent first; insert oldest-first so the owner's
-    // LRU ends up with the same recency order the shard observed.
-    std::vector<uint64_t> keys = shard.quarantine_.Keys();
-    for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-      quarantine_.Insert(*it);
-    }
-    statements_quarantined_ += shard.statements_quarantined_;
-    quarantine_refusals_ += shard.quarantine_refusals_;
-  }
-  faults_recovered_.fetch_add(
-      shard.faults_recovered_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-
-  Context& sc = shard.context_;
-  const size_t base = context_.statements_.size();
-  const size_t n = sc.statements_.size();
-  if (n == 0) return;
-
-  // The merge loop is the serial section of sharded ingestion — every
-  // reallocation or avoidable hash probe in it eats directly into the
-  // Amdahl budget, so all destination containers are sized up front.
-  context_.statements_.reserve(base + n);
-  context_.query_facts_.reserve(base + n);
-  context_.query_groups_.representative.reserve(base + n);
-  context_.query_groups_.fingerprints.reserve(base + n);
-
-  // Index the shard's canonical-memo nodes by their representative so the
-  // canonical strings move (not copy) into this session's memo when their
-  // group turns out to be new.
-  using MemoNode =
-      std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>>::node_type;
-  std::unordered_map<size_t, MemoNode> canon_nodes;
-  canon_nodes.reserve(shard.canonical_memo_.size());
-  while (!shard.canonical_memo_.empty()) {
-    MemoNode node = shard.canonical_memo_.extract(shard.canonical_memo_.begin());
-    const size_t rep = node.mapped();
-    canon_nodes.emplace(rep, std::move(node));
-  }
-  QueryGroups& groups = context_.query_groups_;
-  canonical_memo_.reserve(canonical_memo_.size() + canon_nodes.size());
-  // The shard's unique list is ascending in statement index, so a cursor
-  // replaces a hash lookup per locally-unique statement.
-  size_t local_u = 0;
-  std::vector<size_t> global_rep(n);
-  for (size_t i = 0; i < n; ++i) {
-    sql::StatementPtr stmt = std::move(sc.statements_[i]);
-    const size_t gi = base + i;
-    context_.catalog_.ApplyDdl(*stmt);  // workload order, exactly as serial
-
-    size_t rep = gi;
-    size_t cache_row = 0;  // shard.local_cache_ row when locally unique
-    if (options_.dedup_queries) {
-      const size_t local_rep = sc.query_groups_.representative[i];
-      if (local_rep != i) {
-        rep = global_rep[local_rep];  // the shard resolved it; remap to global
-      } else {
-        cache_row = local_u++;
-        auto raw_it = raw_memo_.find(std::string_view(stmt->raw_sql));
-        if (raw_it != raw_memo_.end()) {
-          rep = raw_it->second;
-        } else {
-          // First time this raw spelling crosses the session: resolve by the
-          // canonical form the shard already computed, inserting its memo
-          // node when the group is new. On a cross-shard canonical collision
-          // the existing (earlier) representative wins, as serial order
-          // demands. Raw-spelling entries merge wholesale below.
-          MemoNode& node = canon_nodes.at(i);
-          node.mapped() = gi;
-          auto ins = canonical_memo_.insert(std::move(node));
-          rep = ins.position->second;
-        }
-      }
-      global_rep[i] = rep;
-      groups.representative.push_back(rep);
-      groups.fingerprints.push_back(sc.query_groups_.fingerprints[i]);
-    } else {
-      cache_row = local_u++;
-      global_rep[i] = gi;
-      groups.representative.push_back(gi);
-    }
-
-    // The shard analyzed (or rebased) these facts for this very statement —
-    // exactly what serial ingestion attaches to it.
-    context_.query_facts_.push_back(std::move(sc.query_facts_[i]));
-    if (rep == gi) {
-      unique_pos_.emplace(gi, groups.unique.size());
-      groups.unique.push_back(gi);
-      local_cache_.push_back(std::move(shard.local_cache_[cache_row]));
-      fix_cache_.emplace_back();  // shards never run ap-fix
-    }
-    context_.statements_.push_back(std::move(stmt));
-  }
-
-  // Raw-spelling memo: remap shard values to global representatives; the
-  // keys (statement bytes) move over node-by-node. Spellings this session
-  // already knew keep their existing, earlier representative.
-  raw_memo_.reserve(raw_memo_.size() + shard.raw_memo_.size());
-  while (!shard.raw_memo_.empty()) {
-    MemoNode node = shard.raw_memo_.extract(shard.raw_memo_.begin());
-    node.mapped() = global_rep[node.mapped()];
-    raw_memo_.insert(std::move(node));
-  }
-
-  // Workload aggregates fold through the interner remap. Merging contiguous
-  // shards in order reproduces the serial fold exactly — including the
-  // NameId assignment, since a shard's first-intern order is the serial
-  // first-intern order restricted to its statements.
-  context_.stats_.MergeFrom(sc.stats_, base);
-
-  // The moved parse trees (and their pmr raw_sql payloads) live in the
-  // shard's arena — adopt it so they outlive the shard. The shard's lexer
-  // scratch, catalog, and interner die with it.
-  context_.adopted_arenas_.push_back(std::move(sc.arena_));
-}
-
-void AnalysisSession::AddStatement(sql::StatementPtr stmt) {
-  if (!GateAppend(stmt->raw_sql.size())) return;
-  std::vector<sql::StatementPtr> stmts;
-  stmts.push_back(std::move(stmt));
-  IngestChunk(std::move(stmts));
 }
 
 bool AnalysisSession::GateAppend(size_t incoming_bytes) {

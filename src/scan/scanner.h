@@ -18,9 +18,9 @@ struct ScanOptions {
   std::string store_path;
   /// Worker shards for the file pipeline. <= 0 means auto: the hardware
   /// thread count, never more (shards past the physical threads only add
-  /// contention — the same clamp AnalysisSession applies to auto
-  /// `ingest_parallelism`), and never more than there are files. Explicit
-  /// positive values are honored literally.
+  /// contention — the same clamp ThreadPool::ResolveParallelism applies to
+  /// an auto `SqlCheckOptions::parallelism`), and never more than there are
+  /// files. Explicit positive values are honored literally.
   int jobs = 0;
 };
 

@@ -367,16 +367,14 @@ TEST_F(SessionChaosTest, StatementBudgetQuarantinesTheOverrunnerButKeepsIt) {
   EXPECT_EQ(session.quarantine_refusals(), 1u);
 }
 
-TEST_F(SessionChaosTest, ParallelIngestFoldsShardFailuresBack) {
-  // 64 distinct statements, 4-way sharded ingest, arena faults at p=1:
-  // nothing lands, every shard's quarantine and failure records merge into
-  // the parent session (capped at kMaxRecordedFailures).
+TEST_F(SessionChaosTest, FullyFaultedScriptQuarantinesThenRecovers) {
+  // 64 distinct statements, arena faults at p=1: nothing lands, and every
+  // piece is quarantined and recorded (capped at kMaxRecordedFailures).
   std::string script;
   for (int i = 0; i < 64; ++i) {
     script += "SELECT c" + std::to_string(i) + " FROM t" + std::to_string(i) + ";\n";
   }
   SqlCheckOptions options;
-  options.ingest_parallelism = 4;
   ASSERT_TRUE(FailpointRegistry::Instance().Arm("arena_alloc", "1.0").ok());
   AnalysisSession session(options);
   size_t added = session.AddScript(script);
@@ -388,7 +386,7 @@ TEST_F(SessionChaosTest, ParallelIngestFoldsShardFailuresBack) {
   EXPECT_LE(session.recent_failures().size(), AnalysisSession::kMaxRecordedFailures);
 
   // Faults clear; the same script is refused wholesale by the quarantine
-  // probes, while a fresh script ingests — and the merged session matches a
+  // probes, while a fresh script ingests — and the session then matches a
   // never-faulted session byte-for-byte.
   FailpointRegistry::Instance().DisarmAll();
   EXPECT_EQ(session.AddScript(script), 0u);

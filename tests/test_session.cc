@@ -303,6 +303,46 @@ TEST(SessionTest, FindAntiPatternsMatchesSessionAndFacade) {
   EXPECT_EQ(via_session, Serialize(ReferencePipeline({sql}, SqlCheckOptions{})));
 }
 
+TEST(SessionTest, QuotaGatesWholeScript) {
+  // A script that would cross the byte cap is refused whole at the gate —
+  // not even the statements that would have fit are ingested.
+  SqlCheckOptions options;
+  options.limits.max_ingest_bytes = std::string_view(kScript).size() / 2;
+  AnalysisSession session(options);
+  EXPECT_EQ(session.AddScript(kScript), 0u);
+  EXPECT_FALSE(session.quota_status().ok());
+  EXPECT_EQ(session.statement_count(), 0u);
+}
+
+TEST(SessionTest, MidSessionQuotaBreachIsSticky) {
+  // The first bulk load fits; the second crosses the byte cap and must be
+  // refused whole, leaving the session frozen (but fully queryable) at
+  // first-load state. A retry stays refused: quotas only tighten as the
+  // session grows.
+  const std::string first = kScript;
+  const std::string second =
+      first + "SELECT note FROM audit_log WHERE actor_id = 7;\n";  // new names
+  SqlCheckOptions options;
+  options.limits.max_ingest_bytes = first.size() + second.size() / 2;
+  AnalysisSession session(options);
+
+  ASSERT_GT(session.AddScript(first), 0u);
+  ASSERT_TRUE(session.quota_status().ok());
+  const std::string before = Serialize(session.Snapshot());
+  const SessionUsage usage_before = session.Usage();
+
+  EXPECT_EQ(session.AddScript(second), 0u);
+  EXPECT_FALSE(session.quota_status().ok());
+  const SessionUsage usage_after = session.Usage();
+  EXPECT_EQ(usage_after.statements, usage_before.statements);
+  EXPECT_EQ(usage_after.ingested_bytes, usage_before.ingested_bytes);
+  EXPECT_EQ(usage_after.interner_names, usage_before.interner_names);
+  EXPECT_EQ(before, Serialize(session.Snapshot()));
+
+  EXPECT_EQ(session.AddScript(second), 0u);  // sticky: the retry is refused too
+  EXPECT_EQ(session.statement_count(), usage_before.statements);
+}
+
 TEST(SessionTest, CustomRuleRegisteredLateCoversEarlierStatements) {
   class UpdateEverythingRule final : public Rule {
    public:
