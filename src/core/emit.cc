@@ -208,19 +208,6 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string ApSlug(AntiPattern type) {
-  std::string slug;
-  for (char c : std::string_view(ApName(type))) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      slug.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    } else if (!slug.empty() && slug.back() != '-') {
-      slug.push_back('-');
-    }
-  }
-  if (!slug.empty() && slug.back() == '-') slug.pop_back();
-  return slug;
-}
-
 std::string FindingToJsonLine(const Finding& finding, size_t rank, bool include_fixes) {
   std::ostringstream out;
   AppendFindingObject(out, finding, rank, include_fixes, /*pretty=*/false, "");

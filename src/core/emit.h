@@ -42,12 +42,6 @@ std::string ToSarif(const Report& report, const EmitOptions& options = {});
 /// (quotes, backslashes, and control characters; no surrounding quotes).
 std::string JsonEscape(std::string_view s);
 
-/// \brief Stable machine identifier for an anti-pattern: the display name
-/// lowered with non-alphanumerics folded to '-' ("column-wildcard-usage").
-/// Shared by the JSON/SARIF emitters, the rule-reference generator, and the
-/// server wire protocol.
-std::string ApSlug(AntiPattern type);
-
 /// \brief One finding as a single-line JSON object — the NDJSON unit of the
 /// sqlcheck-server wire protocol. Carries exactly the fields of a ToJson
 /// result entry (rank, rule, id, category, source, score, table, column,

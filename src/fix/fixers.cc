@@ -1,10 +1,13 @@
-#include "fix/fixers.h"
-
+// The built-in action halves of the catalog's rules (Algorithm 4's repair
+// table): one <Id>Fixer per anti-pattern. Mechanical transformations go
+// through the AST rewriter (fix/rewriter.h); everything else emits
+// context-tailored textual guidance, sometimes with sketch DDL attached.
 #include <string>
 #include <utility>
 
 #include "common/strings.h"
 #include "fix/rewriter.h"
+#include "rules/builtins.h"
 #include "sql/printer.h"
 
 namespace sqlcheck {
@@ -666,131 +669,8 @@ class DenormalizedTableFixer final : public Fixer {
 
 }  // namespace
 
-std::vector<std::unique_ptr<Fixer>> MakeBuiltinFixers() {
-  std::vector<std::unique_ptr<Fixer>> fixers;
-  // Logical design.
-  fixers.push_back(std::make_unique<MultiValuedAttributeFixer>());
-  fixers.push_back(std::make_unique<NoPrimaryKeyFixer>());
-  fixers.push_back(std::make_unique<NoForeignKeyFixer>());
-  fixers.push_back(std::make_unique<GenericPrimaryKeyFixer>());
-  fixers.push_back(std::make_unique<DataInMetadataFixer>());
-  fixers.push_back(std::make_unique<AdjacencyListFixer>());
-  fixers.push_back(std::make_unique<GodTableFixer>());
-  // Physical design.
-  fixers.push_back(std::make_unique<RoundingErrorsFixer>());
-  fixers.push_back(std::make_unique<EnumeratedTypesFixer>());
-  fixers.push_back(std::make_unique<ExternalDataStorageFixer>());
-  fixers.push_back(std::make_unique<IndexOveruseFixer>());
-  fixers.push_back(std::make_unique<IndexUnderuseFixer>());
-  fixers.push_back(std::make_unique<CloneTableFixer>());
-  // Query shape.
-  fixers.push_back(std::make_unique<ColumnWildcardFixer>());
-  fixers.push_back(std::make_unique<ConcatenateNullsFixer>());
-  fixers.push_back(std::make_unique<OrderingByRandFixer>());
-  fixers.push_back(std::make_unique<PatternMatchingFixer>());
-  fixers.push_back(std::make_unique<ImplicitColumnsFixer>());
-  fixers.push_back(std::make_unique<DistinctAndJoinFixer>());
-  fixers.push_back(std::make_unique<TooManyJoinsFixer>());
-  fixers.push_back(std::make_unique<ReadablePasswordFixer>());
-  // Data.
-  fixers.push_back(std::make_unique<MissingTimezoneFixer>());
-  fixers.push_back(std::make_unique<IncorrectDataTypeFixer>());
-  fixers.push_back(std::make_unique<DenormalizedTableFixer>());
-  fixers.push_back(std::make_unique<InformationDuplicationFixer>());
-  fixers.push_back(std::make_unique<RedundantColumnFixer>());
-  fixers.push_back(std::make_unique<NoDomainConstraintFixer>());
-  return fixers;
-}
-
-const char* FixerContract(AntiPattern type) {
-  switch (type) {
-    case AntiPattern::kColumnWildcard:
-      return "mechanical rewrite: expands * into the catalog's column list "
-             "(qualified per source when several tables are read); textual when a "
-             "source is a subquery or missing from the catalog; equivalence "
-             "contract: exact-ordered — differential execution requires identical "
-             "rows in identical order";
-    case AntiPattern::kImplicitColumns:
-      return "mechanical rewrite: names the INSERT's target columns from the "
-             "catalog; textual when the table is unknown or the VALUES arity "
-             "mismatches the schema; equivalence contract: exact-ordered — "
-             "differential execution requires identical table states afterward";
-    case AntiPattern::kConcatenateNulls:
-      return "mechanical rewrite: wraps nullable || / CONCAT operands in "
-             "COALESCE(col, ''); equivalence contract: documented-divergence — "
-             "rows with NULL operands intentionally change from NULL to the "
-             "non-null concatenation, so execution is checked but results are not "
-             "compared";
-    case AntiPattern::kOrderingByRand:
-      return "mechanical rewrite: ORDER BY RAND() ... LIMIT n becomes a random "
-             "primary-key range probe; textual without a LIMIT or a single-column "
-             "primary key; equivalence contract: documented-divergence — both "
-             "sides sample at random, so execution is checked but results are not "
-             "compared";
-    case AntiPattern::kPatternMatching:
-      return "mechanical rewrite: col LIKE '%tail' becomes REVERSE(col) LIKE "
-             "'liat%' (serviceable by a functional index); textual for regexes and "
-             "infix patterns; equivalence contract: multiset — differential "
-             "execution requires the same rows, in any order";
-    case AntiPattern::kIndexUnderuse:
-      return "emits CREATE INDEX on the unindexed performance-critical access path";
-    case AntiPattern::kIndexOveruse:
-      return "emits DROP INDEX for the unused index; textual when the defining "
-             "statement is not in the workload";
-    case AntiPattern::kNoPrimaryKey:
-      return "emits ALTER TABLE ... ADD PRIMARY KEY on a column the sampled data "
-             "proves unique; textual when no candidate exists";
-    case AntiPattern::kNoForeignKey:
-      return "emits ALTER TABLE ... ADD CONSTRAINT FOREIGN KEY for the join edge "
-             "the workload already exercises";
-    case AntiPattern::kRoundingErrors:
-      return "emits ALTER COLUMN ... TYPE NUMERIC(12, 2) — exact decimals instead "
-             "of drifting FLOAT";
-    case AntiPattern::kMissingTimezone:
-      return "emits ALTER COLUMN ... TYPE TIMESTAMP WITH TIME ZONE";
-    case AntiPattern::kIncorrectDataType:
-      return "emits ALTER COLUMN to the type the sampled values actually are "
-             "(INTEGER / NUMERIC / TIMESTAMP WITH TIME ZONE)";
-    case AntiPattern::kRedundantColumn:
-      return "emits ALTER TABLE ... DROP COLUMN, listing the impacted workload "
-             "queries (Algorithm 4's I set)";
-    case AntiPattern::kNoDomainConstraint:
-      return "emits ADD CONSTRAINT ... CHECK matching the observed value range";
-    case AntiPattern::kMultiValuedAttribute:
-      return "emits the intersection-table conversion (the paper's Hosting fix, "
-             "§2.1.1) and lists the impacted queries";
-    case AntiPattern::kEnumeratedTypes:
-      return "emits the lookup-table conversion of Fig. 5 and lists the impacted "
-             "queries";
-    case AntiPattern::kAdjacencyList:
-      return "guidance plus sketch DDL for a closure table (or recursive CTEs)";
-    case AntiPattern::kGenericPrimaryKey:
-      return "guidance plus a RENAME COLUMN sketch toward a descriptive key name";
-    case AntiPattern::kDenormalizedTable:
-      return "guidance plus sketch DDL extracting the dependent pair into a "
-             "dimension table";
-    case AntiPattern::kDistinctAndJoin:
-      return "guidance: rewrite the join as a semi-join (EXISTS / IN) or aggregate "
-             "before joining";
-    case AntiPattern::kTooManyJoins:
-      return "guidance: split the query, cache stable dimensions, or denormalize "
-             "read-mostly attributes";
-    case AntiPattern::kGodTable:
-      return "guidance: vertically partition by update cadence and access pattern";
-    case AntiPattern::kDataInMetadata:
-      return "guidance: fold the numbered-series index into rows of a child table";
-    case AntiPattern::kCloneTable:
-      return "guidance: merge clones into one table with a discriminator column";
-    case AntiPattern::kExternalDataStorage:
-      return "guidance: store file content in a BLOB column so it participates in "
-             "transactions and backups";
-    case AntiPattern::kInformationDuplication:
-      return "guidance: drop the derived column and compute it at query time";
-    case AntiPattern::kReadablePassword:
-      return "guidance: store salted adaptive hashes and compare hashes in the "
-             "application layer";
-  }
-  return "guidance tailored to the detection";
-}
+#define SQLCHECK_AP(Id, ...) \
+  std::unique_ptr<Fixer> New##Id##Fixer() { return std::make_unique<Id##Fixer>(); }
+#include "rules/catalog.def"
 
 }  // namespace sqlcheck

@@ -12,7 +12,6 @@
 #include <map>
 
 #include "common/failpoint.h"
-#include "core/emit.h"
 #include "rules/registry.h"
 
 namespace sqlcheck::persist {

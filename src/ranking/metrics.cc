@@ -2,69 +2,23 @@
 
 namespace sqlcheck {
 
-namespace {
-
-/// Calibration table. RP/WP come from the paper's measurements where stated
-/// (Figs. 3 and 8); the rest follow Table 1's impact flags.
-std::map<AntiPattern, ApMetrics> BuildDefaults() {
-  std::map<AntiPattern, ApMetrics> m;
-  auto set = [&](AntiPattern t, double rp, double wp, double maint, double da, int di,
-                 int a) { m[t] = ApMetrics{rp, wp, maint, da, di, a}; };
-
-  // Logical design.
-  set(AntiPattern::kMultiValuedAttribute, 636.0, 3.0, 4.0, 2.0, 1, 1);  // Fig 3a
-  set(AntiPattern::kNoPrimaryKey, 2.0, 1.0, 3.0, 2.0, 1, 0);
-  set(AntiPattern::kNoForeignKey, 1.1, 1.1, 3.0, 0.0, 1, 0);            // Fig 8d/e
-  set(AntiPattern::kGenericPrimaryKey, 0.0, 0.0, 1.0, 0.0, 0, 0);
-  set(AntiPattern::kDataInMetadata, 2.0, 1.5, 4.0, 2.0, 1, 1);
-  set(AntiPattern::kAdjacencyList, 1.1, 0.0, 2.0, 0.0, 0, 0);           // §8.5: PG11 ~1.1x
-  set(AntiPattern::kGodTable, 1.5, 1.2, 3.0, 0.0, 0, 0);
-
-  // Physical design.
-  set(AntiPattern::kRoundingErrors, 0.0, 0.0, 1.0, 0.0, 0, 1);
-  set(AntiPattern::kEnumeratedTypes, 0.0, 10.0, 2.0, 1.0, 0, 0);        // Fig 7b row
-  set(AntiPattern::kExternalDataStorage, 0.0, 0.0, 2.0, 0.0, 1, 1);
-  set(AntiPattern::kIndexOveruse, 1.0, 10.0, 1.0, 1.0, 0, 0);           // Fig 8a: ~10x
-  set(AntiPattern::kIndexUnderuse, 1.5, 0.0, 0.0, 0.0, 0, 0);           // Fig 7b row
-  set(AntiPattern::kCloneTable, 1.5, 1.0, 4.0, 0.0, 1, 1);
-
-  // Query APs.
-  set(AntiPattern::kColumnWildcard, 1.3, 0.0, 1.0, 0.0, 0, 1);
-  set(AntiPattern::kConcatenateNulls, 0.0, 0.0, 0.5, 0.0, 0, 1);
-  set(AntiPattern::kOrderingByRand, 5.0, 0.0, 0.0, 0.0, 0, 0);
-  set(AntiPattern::kPatternMatching, 10.0, 0.0, 0.5, 0.0, 0, 0);
-  set(AntiPattern::kImplicitColumns, 0.0, 0.0, 2.0, 0.0, 1, 0);
-  set(AntiPattern::kDistinctAndJoin, 2.0, 0.0, 1.0, 0.0, 0, 0);
-  set(AntiPattern::kTooManyJoins, 3.0, 0.0, 0.5, 0.0, 0, 0);
-  set(AntiPattern::kReadablePassword, 0.0, 0.0, 0.5, 0.0, 1, 1);
-
-  // Data APs.
-  set(AntiPattern::kMissingTimezone, 0.0, 0.0, 1.0, 0.0, 0, 1);
-  set(AntiPattern::kIncorrectDataType, 1.5, 0.0, 1.0, 2.0, 0, 0);
-  set(AntiPattern::kDenormalizedTable, 1.5, 0.0, 1.0, 3.0, 0, 0);
-  set(AntiPattern::kInformationDuplication, 0.0, 0.0, 2.0, 1.0, 1, 1);
-  set(AntiPattern::kRedundantColumn, 0.0, 0.0, 0.5, 2.0, 0, 0);
-  set(AntiPattern::kNoDomainConstraint, 0.0, 0.0, 1.0, 1.0, 1, 0);
-  return m;
-}
-
-}  // namespace
-
 MetricsStore MetricsStore::Default() {
   MetricsStore store;
-  store.metrics_ = BuildDefaults();
+  store.metrics_ = {{
+#define SQLCHECK_AP(Id, Name, Category, P, M, DA, DI, A, RP, WP, MAINT, DAMP, Fix) \
+  ApMetrics{RP, WP, MAINT, DAMP, DI, A},
+#include "rules/catalog.def"
+  }};
   return store;
 }
 
 const ApMetrics& MetricsStore::For(AntiPattern type) const {
-  static const ApMetrics kZero{};
-  auto it = metrics_.find(type);
-  return it == metrics_.end() ? kZero : it->second;
+  return metrics_[static_cast<size_t>(type)];
 }
 
 void MetricsStore::RecordObservation(AntiPattern type, const ApMetrics& observed,
                                      double alpha) {
-  ApMetrics& current = metrics_[type];
+  ApMetrics& current = metrics_[static_cast<size_t>(type)];
   auto blend = [alpha](double old_value, double new_value) {
     return (1.0 - alpha) * old_value + alpha * new_value;
   };

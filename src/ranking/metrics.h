@@ -1,6 +1,6 @@
 #pragma once
 
-#include <map>
+#include <array>
 
 #include "rules/rule.h"
 
@@ -22,12 +22,12 @@ struct ApMetrics {
   int accuracy = 0;        // 0/1
 };
 
-/// \brief Store of per-AP metrics. Seeded from the paper's GlobaLeaks
-/// empirical analysis (§8.2) and updatable as new performance data arrives —
-/// the "retraining" loop of §3 step ❹.
+/// \brief Store of per-AP metrics, indexed by AntiPattern. Seeded from the
+/// paper's GlobaLeaks empirical analysis (§8.2) and updatable as new
+/// performance data arrives — the "retraining" loop of §3 step ❹.
 class MetricsStore {
  public:
-  /// Store seeded with the built-in calibration table.
+  /// Store seeded with the calibration columns of rules/catalog.def.
   static MetricsStore Default();
 
   const ApMetrics& For(AntiPattern type) const;
@@ -36,10 +36,12 @@ class MetricsStore {
   /// average with weight `alpha` on the new observation).
   void RecordObservation(AntiPattern type, const ApMetrics& observed, double alpha = 0.3);
 
-  void Set(AntiPattern type, ApMetrics metrics) { metrics_[type] = metrics; }
+  void Set(AntiPattern type, ApMetrics metrics) {
+    metrics_[static_cast<size_t>(type)] = metrics;
+  }
 
  private:
-  std::map<AntiPattern, ApMetrics> metrics_;
+  std::array<ApMetrics, kAntiPatternCount> metrics_{};
 };
 
 }  // namespace sqlcheck

@@ -1,4 +1,7 @@
-#include "rules/data_rules.h"
+// The six data rules of Table 1 (detected by analysing the data itself,
+// §4.2): Missing Timezone, Incorrect Data Type, Denormalized Table,
+// Information Duplication, Redundant Column, No Domain Constraint.
+#include "rules/builtins.h"
 
 #include <cmath>
 #include <map>
@@ -334,15 +337,23 @@ class NoDomainConstraintRule final : public Rule {
 
 }  // namespace
 
-std::vector<std::unique_ptr<Rule>> MakeDataRules() {
-  std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(std::make_unique<MissingTimezoneRule>());
-  rules.push_back(std::make_unique<IncorrectDataTypeRule>());
-  rules.push_back(std::make_unique<DenormalizedTableRule>());
-  rules.push_back(std::make_unique<InformationDuplicationRule>());
-  rules.push_back(std::make_unique<RedundantColumnRule>());
-  rules.push_back(std::make_unique<NoDomainConstraintRule>());
-  return rules;
+std::unique_ptr<Rule> NewMissingTimezoneRule() {
+  return std::make_unique<MissingTimezoneRule>();
+}
+std::unique_ptr<Rule> NewIncorrectDataTypeRule() {
+  return std::make_unique<IncorrectDataTypeRule>();
+}
+std::unique_ptr<Rule> NewDenormalizedTableRule() {
+  return std::make_unique<DenormalizedTableRule>();
+}
+std::unique_ptr<Rule> NewInformationDuplicationRule() {
+  return std::make_unique<InformationDuplicationRule>();
+}
+std::unique_ptr<Rule> NewRedundantColumnRule() {
+  return std::make_unique<RedundantColumnRule>();
+}
+std::unique_ptr<Rule> NewNoDomainConstraintRule() {
+  return std::make_unique<NoDomainConstraintRule>();
 }
 
 }  // namespace sqlcheck

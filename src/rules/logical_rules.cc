@@ -1,4 +1,7 @@
-#include "rules/logical_rules.h"
+// The seven logical-design rules of Table 1: Multi-Valued Attribute, No
+// Primary Key, No Foreign Key, Generic Primary Key, Data in Metadata,
+// Adjacency List, and God Table.
+#include "rules/builtins.h"
 
 #include "common/strings.h"
 
@@ -473,16 +476,24 @@ class GodTableRule final : public Rule {
 
 }  // namespace
 
-std::vector<std::unique_ptr<Rule>> MakeLogicalDesignRules() {
-  std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(std::make_unique<MultiValuedAttributeRule>());
-  rules.push_back(std::make_unique<NoPrimaryKeyRule>());
-  rules.push_back(std::make_unique<NoForeignKeyRule>());
-  rules.push_back(std::make_unique<GenericPrimaryKeyRule>());
-  rules.push_back(std::make_unique<DataInMetadataRule>());
-  rules.push_back(std::make_unique<AdjacencyListRule>());
-  rules.push_back(std::make_unique<GodTableRule>());
-  return rules;
+std::unique_ptr<Rule> NewMultiValuedAttributeRule() {
+  return std::make_unique<MultiValuedAttributeRule>();
 }
+std::unique_ptr<Rule> NewNoPrimaryKeyRule() {
+  return std::make_unique<NoPrimaryKeyRule>();
+}
+std::unique_ptr<Rule> NewNoForeignKeyRule() {
+  return std::make_unique<NoForeignKeyRule>();
+}
+std::unique_ptr<Rule> NewGenericPrimaryKeyRule() {
+  return std::make_unique<GenericPrimaryKeyRule>();
+}
+std::unique_ptr<Rule> NewDataInMetadataRule() {
+  return std::make_unique<DataInMetadataRule>();
+}
+std::unique_ptr<Rule> NewAdjacencyListRule() {
+  return std::make_unique<AdjacencyListRule>();
+}
+std::unique_ptr<Rule> NewGodTableRule() { return std::make_unique<GodTableRule>(); }
 
 }  // namespace sqlcheck

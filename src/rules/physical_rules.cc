@@ -1,4 +1,7 @@
-#include "rules/physical_rules.h"
+// The six physical-design rules of Table 1: Rounding Errors, Enumerated
+// Types, External Data Storage, Index Overuse, Index Underuse, and Clone
+// Table.
+#include "rules/builtins.h"
 
 #include <cctype>
 #include <map>
@@ -505,15 +508,21 @@ class CloneTableRule final : public Rule {
 
 }  // namespace
 
-std::vector<std::unique_ptr<Rule>> MakePhysicalDesignRules() {
-  std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(std::make_unique<RoundingErrorsRule>());
-  rules.push_back(std::make_unique<EnumeratedTypesRule>());
-  rules.push_back(std::make_unique<ExternalDataStorageRule>());
-  rules.push_back(std::make_unique<IndexOveruseRule>());
-  rules.push_back(std::make_unique<IndexUnderuseRule>());
-  rules.push_back(std::make_unique<CloneTableRule>());
-  return rules;
+std::unique_ptr<Rule> NewRoundingErrorsRule() {
+  return std::make_unique<RoundingErrorsRule>();
 }
+std::unique_ptr<Rule> NewEnumeratedTypesRule() {
+  return std::make_unique<EnumeratedTypesRule>();
+}
+std::unique_ptr<Rule> NewExternalDataStorageRule() {
+  return std::make_unique<ExternalDataStorageRule>();
+}
+std::unique_ptr<Rule> NewIndexOveruseRule() {
+  return std::make_unique<IndexOveruseRule>();
+}
+std::unique_ptr<Rule> NewIndexUnderuseRule() {
+  return std::make_unique<IndexUnderuseRule>();
+}
+std::unique_ptr<Rule> NewCloneTableRule() { return std::make_unique<CloneTableRule>(); }
 
 }  // namespace sqlcheck

@@ -1,4 +1,7 @@
-#include "rules/query_rules.h"
+// The query-shape rules of Table 1 plus Readable Password: Column Wildcard,
+// Concatenate Nulls, Ordering by RAND, Pattern Matching, Implicit Columns,
+// DISTINCT and JOIN, Too Many Joins, Readable Password.
+#include "rules/builtins.h"
 
 #include "common/strings.h"
 
@@ -245,17 +248,29 @@ class ReadablePasswordRule final : public Rule {
 
 }  // namespace
 
-std::vector<std::unique_ptr<Rule>> MakeQueryRules() {
-  std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(std::make_unique<ColumnWildcardRule>());
-  rules.push_back(std::make_unique<ConcatenateNullsRule>());
-  rules.push_back(std::make_unique<OrderingByRandRule>());
-  rules.push_back(std::make_unique<PatternMatchingRule>());
-  rules.push_back(std::make_unique<ImplicitColumnsRule>());
-  rules.push_back(std::make_unique<DistinctAndJoinRule>());
-  rules.push_back(std::make_unique<TooManyJoinsRule>());
-  rules.push_back(std::make_unique<ReadablePasswordRule>());
-  return rules;
+std::unique_ptr<Rule> NewColumnWildcardRule() {
+  return std::make_unique<ColumnWildcardRule>();
+}
+std::unique_ptr<Rule> NewConcatenateNullsRule() {
+  return std::make_unique<ConcatenateNullsRule>();
+}
+std::unique_ptr<Rule> NewOrderingByRandRule() {
+  return std::make_unique<OrderingByRandRule>();
+}
+std::unique_ptr<Rule> NewPatternMatchingRule() {
+  return std::make_unique<PatternMatchingRule>();
+}
+std::unique_ptr<Rule> NewImplicitColumnsRule() {
+  return std::make_unique<ImplicitColumnsRule>();
+}
+std::unique_ptr<Rule> NewDistinctAndJoinRule() {
+  return std::make_unique<DistinctAndJoinRule>();
+}
+std::unique_ptr<Rule> NewTooManyJoinsRule() {
+  return std::make_unique<TooManyJoinsRule>();
+}
+std::unique_ptr<Rule> NewReadablePasswordRule() {
+  return std::make_unique<ReadablePasswordRule>();
 }
 
 }  // namespace sqlcheck

@@ -4,21 +4,16 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "fix/fixers.h"
-#include "rules/data_rules.h"
-#include "rules/logical_rules.h"
-#include "rules/physical_rules.h"
-#include "rules/query_rules.h"
+#include "rules/builtins.h"
 
 namespace sqlcheck {
 
 RuleRegistry RuleRegistry::Default() {
   RuleRegistry registry;
-  for (auto& rule : MakeLogicalDesignRules()) registry.Register(std::move(rule));
-  for (auto& rule : MakePhysicalDesignRules()) registry.Register(std::move(rule));
-  for (auto& rule : MakeQueryRules()) registry.Register(std::move(rule));
-  for (auto& rule : MakeDataRules()) registry.Register(std::move(rule));
-  for (auto& fixer : MakeBuiltinFixers()) registry.RegisterFixer(std::move(fixer));
+#define SQLCHECK_AP(Id, ...)          \
+  registry.Register(New##Id##Rule()); \
+  registry.RegisterFixer(New##Id##Fixer());
+#include "rules/catalog.def"
   return registry;
 }
 

@@ -21,7 +21,8 @@ class ThreadPool;
 /// a built-in rule's type and the FixEngine uses yours instead.
 class RuleRegistry {
  public:
-  /// Registry pre-loaded with every built-in rule and its fixer.
+  /// Registry pre-loaded with every built-in rule and its fixer, one pair per
+  /// rules/catalog.def row, in row order.
   static RuleRegistry Default();
 
   /// Empty registry (for tests and custom deployments).

@@ -1,86 +1,39 @@
 #include "rules/rule.h"
 
+#include <cctype>
+
 #include "common/strings.h"
 
 namespace sqlcheck {
 
 namespace {
 
-// Table 1 of the paper: each AP's category and its impact on Performance,
-// Maintainability, Data Amplification, Data Integrity, and Accuracy.
+using enum AntiPattern;  // rows name their enumerator as k<Id>
+
 constexpr ApInfo kApTable[] = {
-    {AntiPattern::kMultiValuedAttribute, "Multi-Valued Attribute",
-     ApCategory::kLogicalDesign, true, true, true, true, true},
-    {AntiPattern::kNoPrimaryKey, "No Primary Key", ApCategory::kLogicalDesign, true, true,
-     true, true, false},
-    {AntiPattern::kNoForeignKey, "No Foreign Key", ApCategory::kLogicalDesign, true, true,
-     false, true, false},
-    {AntiPattern::kGenericPrimaryKey, "Generic Primary Key", ApCategory::kLogicalDesign,
-     false, true, false, false, false},
-    {AntiPattern::kDataInMetadata, "Data in Metadata", ApCategory::kLogicalDesign, true,
-     true, true, true, true},
-    {AntiPattern::kAdjacencyList, "Adjacency List", ApCategory::kLogicalDesign, true, false,
-     false, false, false},
-    {AntiPattern::kGodTable, "God Table", ApCategory::kLogicalDesign, true, true, false,
-     false, false},
-
-    {AntiPattern::kRoundingErrors, "Rounding Errors", ApCategory::kPhysicalDesign, false,
-     false, false, false, true},
-    {AntiPattern::kEnumeratedTypes, "Enumerated Types", ApCategory::kPhysicalDesign, true,
-     true, true, false, false},
-    {AntiPattern::kExternalDataStorage, "External Data Storage",
-     ApCategory::kPhysicalDesign, false, true, false, true, true},
-    {AntiPattern::kIndexOveruse, "Index Overuse", ApCategory::kPhysicalDesign, true, true,
-     true, false, false},
-    {AntiPattern::kIndexUnderuse, "Index Underuse", ApCategory::kPhysicalDesign, true, true,
-     true, false, false},
-    {AntiPattern::kCloneTable, "Clone Table", ApCategory::kPhysicalDesign, true, true,
-     false, true, true},
-
-    {AntiPattern::kColumnWildcard, "Column Wildcard Usage", ApCategory::kQuery, true, false,
-     false, false, true},
-    {AntiPattern::kConcatenateNulls, "Concatenate Nulls", ApCategory::kQuery, false, false,
-     false, false, true},
-    {AntiPattern::kOrderingByRand, "Ordering by RAND", ApCategory::kQuery, true, false,
-     false, false, false},
-    {AntiPattern::kPatternMatching, "Pattern Matching", ApCategory::kQuery, true, false,
-     false, false, false},
-    {AntiPattern::kImplicitColumns, "Implicit Columns", ApCategory::kQuery, false, true,
-     false, true, false},
-    {AntiPattern::kDistinctAndJoin, "DISTINCT and JOIN", ApCategory::kQuery, true, true,
-     false, false, false},
-    {AntiPattern::kTooManyJoins, "Too Many Joins", ApCategory::kQuery, true, false, false,
-     false, false},
-    {AntiPattern::kReadablePassword, "Readable Password", ApCategory::kQuery, false, false,
-     false, true, true},
-
-    {AntiPattern::kMissingTimezone, "Missing Timezone", ApCategory::kData, false, false,
-     false, false, true},
-    {AntiPattern::kIncorrectDataType, "Incorrect Data Type", ApCategory::kData, true, false,
-     true, false, false},
-    {AntiPattern::kDenormalizedTable, "Denormalized Table", ApCategory::kData, true, false,
-     true, false, false},
-    {AntiPattern::kInformationDuplication, "Information Duplication", ApCategory::kData,
-     false, true, false, true, true},
-    {AntiPattern::kRedundantColumn, "Redundant Column", ApCategory::kData, false, false,
-     true, false, false},
-    {AntiPattern::kNoDomainConstraint, "No Domain Constraint", ApCategory::kData, false,
-     true, true, true, false},
+#define SQLCHECK_AP(Id, Name, Category, P, M, DA, DI, A, RP, WP, MAINT, DAMP, Fix) \
+  {k##Id, Name, ApCategory::Category, P, M, DA, DI, A, Fix},
+#include "rules/catalog.def"
 };
-
-static_assert(sizeof(kApTable) / sizeof(kApTable[0]) == kAntiPatternCount,
-              "AP metadata table out of sync with the AntiPattern enum");
 
 }  // namespace
 
-const ApInfo& InfoFor(AntiPattern type) {
-  for (const ApInfo& info : kApTable) {
-    if (info.type == type) return info;
-  }
-  return kApTable[0];
-}
+const ApInfo& InfoFor(AntiPattern type) { return kApTable[static_cast<size_t>(type)]; }
 
 const char* ApName(AntiPattern type) { return InfoFor(type).name; }
+
+std::string ApSlug(AntiPattern type) {
+  std::string slug;
+  for (char c : std::string_view(ApName(type))) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      slug.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    } else if (!slug.empty() && slug.back() != '-') {
+      slug.push_back('-');
+    }
+  }
+  if (!slug.empty() && slug.back() == '-') slug.pop_back();
+  return slug;
+}
 
 const ApInfo* FindApInfoByName(std::string_view name) {
   for (const ApInfo& info : kApTable) {

@@ -9,49 +9,26 @@
 namespace sqlcheck {
 
 /// \brief Every anti-pattern sqlcheck detects (Table 1 of the paper, plus
-/// Readable Password which appears in the Table 3 distribution).
+/// Readable Password which appears in the Table 3 distribution): one
+/// enumerator per row of rules/catalog.def, in row order.
 enum class AntiPattern {
-  // Logical design APs.
-  kMultiValuedAttribute,
-  kNoPrimaryKey,
-  kNoForeignKey,
-  kGenericPrimaryKey,
-  kDataInMetadata,
-  kAdjacencyList,
-  kGodTable,
-  // Physical design APs.
-  kRoundingErrors,
-  kEnumeratedTypes,
-  kExternalDataStorage,
-  kIndexOveruse,
-  kIndexUnderuse,
-  kCloneTable,
-  // Query APs.
-  kColumnWildcard,
-  kConcatenateNulls,
-  kOrderingByRand,
-  kPatternMatching,
-  kImplicitColumns,
-  kDistinctAndJoin,
-  kTooManyJoins,
-  kReadablePassword,
-  // Data APs.
-  kMissingTimezone,
-  kIncorrectDataType,
-  kDenormalizedTable,
-  kInformationDuplication,
-  kRedundantColumn,
-  kNoDomainConstraint,
+#define SQLCHECK_AP(Id, ...) k##Id,
+#include "rules/catalog.def"
 };
 
-/// Number of distinct anti-pattern types.
-inline constexpr int kAntiPatternCount = 27;
+/// Number of distinct anti-pattern types: one per catalog row.
+inline constexpr int kAntiPatternCount = [] {
+  int rows = 0;
+#define SQLCHECK_AP(...) ++rows;
+#include "rules/catalog.def"
+  return rows;
+}();
 
 enum class ApCategory { kLogicalDesign, kPhysicalDesign, kQuery, kData };
 
-/// \brief Static metadata for one AP: display name, category, and the five
+/// \brief Static metadata for one AP: display name, category, the five
 /// impact flags of Table 1 (Performance, Maintainability, Data Amplification,
-/// Data Integrity, Accuracy).
+/// Data Integrity, Accuracy), and the built-in fixer's repair strategy.
 struct ApInfo {
   AntiPattern type;
   const char* name;
@@ -61,11 +38,20 @@ struct ApInfo {
   bool data_amplification;
   bool data_integrity;
   bool accuracy;
+  /// One-line description of what the built-in fixer rewrites mechanically
+  /// (and when it falls back to guidance). Backs --explain and RULES.md.
+  const char* fix_contract;
 };
 
 const ApInfo& InfoFor(AntiPattern type);
 const char* ApName(AntiPattern type);
 const char* CategoryName(ApCategory category);
+
+/// \brief Stable machine identifier for an anti-pattern: the display name
+/// lowered with non-alphanumerics folded to '-' ("column-wildcard-usage").
+/// Shared by the JSON/SARIF emitters, the rule-reference generator, the
+/// server wire protocol, and the persisted store's ruleset hash.
+std::string ApSlug(AntiPattern type);
 
 /// Reverse lookup by display name (ApName, ASCII-case-insensitive); nullptr
 /// when no anti-pattern carries that name. Used to validate user-supplied

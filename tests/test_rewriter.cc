@@ -18,7 +18,6 @@
 #include "engine/executor.h"
 #include "fix/fix_engine.h"
 #include "fix/fixer.h"
-#include "fix/fixers.h"
 #include "rules/registry.h"
 #include "sql/parser.h"
 #include "sql/printer.h"

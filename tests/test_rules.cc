@@ -463,10 +463,18 @@ TEST(RegistryTest, CustomRuleIsInvoked) {
 }
 
 TEST(RegistryTest, ApInfoTableIsConsistent) {
+  // Default() holds exactly one rule and one fixer per catalog row, both in
+  // enum order, and every row's metadata describes its own type.
+  RuleRegistry registry = RuleRegistry::Default();
+  ASSERT_EQ(registry.rules().size(), static_cast<size_t>(kAntiPatternCount));
+  ASSERT_EQ(registry.fixers().size(), static_cast<size_t>(kAntiPatternCount));
   for (int t = 0; t < kAntiPatternCount; ++t) {
     AntiPattern type = static_cast<AntiPattern>(t);
     EXPECT_EQ(InfoFor(type).type, type);
     EXPECT_NE(ApName(type), nullptr);
+    EXPECT_NE(InfoFor(type).fix_contract, nullptr);
+    EXPECT_EQ(registry.rules()[static_cast<size_t>(t)]->type(), type) << ApName(type);
+    EXPECT_EQ(registry.fixers()[static_cast<size_t>(t)]->type(), type) << ApName(type);
   }
 }
 
