@@ -1,5 +1,7 @@
 #include "catalog/catalog.h"
 
+#include <cctype>
+
 #include "common/strings.h"
 #include "sql/printer.h"
 
@@ -10,6 +12,7 @@ Status Catalog::AddTable(TableSchema schema) {
   if (tables_.count(key) > 0) {
     return Status::Error("table already exists: " + schema.name);
   }
+  LinkStem(key);
   tables_.emplace(std::move(key), std::move(schema));
   return Status::Ok();
 }
@@ -19,30 +22,74 @@ Status Catalog::AddIndex(IndexSchema index) {
   if (indexes_.count(key) > 0) {
     return Status::Error("index already exists: " + index.name);
   }
+  indexes_by_table_[ToLower(index.table)].insert(key);
   indexes_.emplace(std::move(key), std::move(index));
   return Status::Ok();
 }
 
 Status Catalog::DropTable(std::string_view name) {
-  if (tables_.erase(std::string(ToLower(name))) == 0) {
+  LowerProbe key(name);
+  auto it = tables_.find(key.view());
+  if (it == tables_.end()) {
     return Status::Error("no such table: " + std::string(name));
   }
+  UnlinkStem(it->first);
+  tables_.erase(it);
   // Indexes on the table go with it.
-  for (auto it = indexes_.begin(); it != indexes_.end();) {
-    if (EqualsIgnoreCase(it->second.table, name)) {
-      it = indexes_.erase(it);
-    } else {
-      ++it;
-    }
+  auto on = indexes_by_table_.find(key.view());
+  if (on != indexes_by_table_.end()) {
+    for (const auto& index_key : on->second) indexes_.erase(index_key);
+    indexes_by_table_.erase(on);
   }
   return Status::Ok();
 }
 
 Status Catalog::DropIndex(std::string_view name) {
-  if (indexes_.erase(ToLower(name)) == 0) {
+  auto it = indexes_.find(LowerProbe(name).view());
+  if (it == indexes_.end()) {
     return Status::Error("no such index: " + std::string(name));
   }
+  auto on = indexes_by_table_.find(LowerProbe(it->second.table).view());
+  on->second.erase(it->first);
+  if (on->second.empty()) indexes_by_table_.erase(on);
+  indexes_.erase(it);
   return Status::Ok();
+}
+
+Status Catalog::RenameTable(std::string_view from, std::string_view to) {
+  std::string from_key = ToLower(from);
+  std::string to_key = ToLower(to);
+  if (to_key != from_key && tables_.count(to_key) > 0) {
+    return Status::Error("table already exists: " + std::string(to));
+  }
+  auto node = tables_.extract(from_key);
+  UnlinkStem(from_key);
+  node.key() = to_key;
+  node.mapped().name = std::string(to);
+  LinkStem(to_key);
+  tables_.insert(std::move(node));
+  // The table's indexes follow it to the new name.
+  auto on = indexes_by_table_.extract(from_key);
+  if (!on.empty()) {
+    for (const auto& index_key : on.mapped()) {
+      indexes_.find(index_key)->second.table = std::string(to);
+    }
+    indexes_by_table_[to_key].merge(on.mapped());
+  }
+  return Status::Ok();
+}
+
+void Catalog::LinkStem(const std::string& table_key) {
+  std::string_view stem = CloneStem(table_key);
+  if (!stem.empty()) tables_by_stem_[std::string(stem)].insert(table_key);
+}
+
+void Catalog::UnlinkStem(const std::string& table_key) {
+  std::string_view stem = CloneStem(table_key);
+  if (stem.empty()) return;
+  auto it = tables_by_stem_.find(stem);
+  it->second.erase(table_key);
+  if (it->second.empty()) tables_by_stem_.erase(it);
 }
 
 Status Catalog::ApplyDdl(const sql::Statement& stmt) {
@@ -180,18 +227,22 @@ Status Catalog::ApplyDdl(const sql::Statement& stmt) {
               DataType::FromTypeName(alter.column.type);
           return Status::Ok();
         }
-        case sql::AlterAction::kRenameTable: {
-          TableSchema moved = *table;
-          moved.name = alter.new_name;
-          DropTable(alter.table);
-          return AddTable(std::move(moved));
-        }
+        case sql::AlterAction::kRenameTable:
+          return RenameTable(alter.table, alter.new_name);
         case sql::AlterAction::kRenameColumn: {
           int idx = table->ColumnIndex(alter.target_name);
           if (idx < 0) return Status::Error("no such column: " + std::string(alter.target_name));
           table->columns[static_cast<size_t>(idx)].name = alter.new_name;
           for (auto& pk : table->primary_key) {
             if (EqualsIgnoreCase(pk, alter.target_name)) pk = alter.new_name;
+          }
+          auto on = indexes_by_table_.find(LowerProbe(alter.table).view());
+          if (on != indexes_by_table_.end()) {
+            for (const auto& index_key : on->second) {
+              for (auto& c : indexes_.find(index_key)->second.columns) {
+                if (EqualsIgnoreCase(c, alter.target_name)) c = alter.new_name;
+              }
+            }
           }
           return Status::Ok();
         }
@@ -236,20 +287,41 @@ std::vector<const IndexSchema*> Catalog::Indexes() const {
 
 std::vector<const IndexSchema*> Catalog::IndexesOnTable(std::string_view table) const {
   std::vector<const IndexSchema*> out;
-  for (const auto& [_, index] : indexes_) {
-    if (EqualsIgnoreCase(index.table, table)) out.push_back(&index);
+  auto on = indexes_by_table_.find(LowerProbe(table).view());
+  if (on == indexes_by_table_.end()) return out;
+  out.reserve(on->second.size());
+  for (const auto& index_key : on->second) {
+    out.push_back(&indexes_.find(index_key)->second);
   }
   return out;
 }
 
 bool Catalog::HasIndexOnColumn(std::string_view table, std::string_view column) const {
-  for (const auto& [_, index] : indexes_) {
-    if (EqualsIgnoreCase(index.table, table) && !index.columns.empty() &&
-        EqualsIgnoreCase(index.columns[0], column)) {
+  for (const auto* index : IndexesOnTable(table)) {
+    if (!index->columns.empty() && EqualsIgnoreCase(index->columns[0], column)) {
       return true;
     }
   }
   return false;
+}
+
+std::vector<const TableSchema*> Catalog::TablesWithStem(std::string_view stem) const {
+  std::vector<const TableSchema*> out;
+  auto it = tables_by_stem_.find(LowerProbe(stem).view());
+  if (it == tables_by_stem_.end()) return out;
+  out.reserve(it->second.size());
+  for (const auto& table_key : it->second) {
+    out.push_back(&tables_.find(table_key)->second);
+  }
+  return out;
+}
+
+std::string_view Catalog::CloneStem(std::string_view name) {
+  size_t end = name.size();
+  while (end > 0 && std::isdigit(static_cast<unsigned char>(name[end - 1]))) --end;
+  if (end == name.size() || end == 0) return {};
+  if (name[end - 1] == '_') --end;
+  return name.substr(0, end);
 }
 
 }  // namespace sqlcheck

@@ -3,7 +3,6 @@
 // Table.
 #include "rules/builtins.h"
 
-#include <cctype>
 #include <map>
 #include <set>
 
@@ -379,7 +378,6 @@ class IndexUnderuseRule final : public Rule {
       if (table.empty() || column.empty()) return;
       const TableSchema* schema = context.catalog().FindTable(table);
       if (schema == nullptr || schema->FindColumn(column) == nullptr) return;
-      if (context.catalog().HasIndexOnColumn(table, column)) return;
       // A composite index containing the column can still serve conjunctive
       // predicates (its leading columns are filtered alongside) — treat the
       // column as covered rather than flag a false positive.
@@ -452,57 +450,41 @@ class CloneTableRule final : public Rule {
     if (!config.inter_query) return;  // needs the full catalog
     const auto* create = AsCreateTable(facts);
     if (create == nullptr) return;
-    std::string base = StripNumericSuffix(create->table);
-    if (base.empty() || EqualsIgnoreCase(base, create->table)) return;
-    // Another table with the same base and a different suffix?
-    for (const auto* other : context.catalog().Tables()) {
+    std::string_view stem = Catalog::CloneStem(create->table);
+    if (stem.empty()) return;
+    // Another table with the same stem and a different suffix?
+    for (const auto* other : context.catalog().TablesWithStem(stem)) {
       if (EqualsIgnoreCase(other->name, create->table)) continue;
-      std::string other_base = StripNumericSuffix(other->name);
-      if (!other_base.empty() && EqualsIgnoreCase(other_base, base)) {
-        Detection d;
-        d.type = type();
-        d.source = DetectionSource::kInterQuery;
-        d.table = create->table;
-        d.query = facts.raw_sql;
-        d.stmt = facts.stmt;
-        d.message = "tables '" + std::string(create->table) + "' and '" + other->name +
-                    "' are clones of '" + base +
-                    "_N'; the suffix is data — fold it into a column";
-        out->push_back(std::move(d));
-        return;
-      }
+      Detection d;
+      d.type = type();
+      d.source = DetectionSource::kInterQuery;
+      d.table = create->table;
+      d.query = facts.raw_sql;
+      d.stmt = facts.stmt;
+      d.message = "tables '" + std::string(create->table) + "' and '" + other->name +
+                  "' are clones of '" + std::string(stem) +
+                  "_N'; the suffix is data — fold it into a column";
+      out->push_back(std::move(d));
+      return;
     }
   }
 
   void CheckData(const TableProfile& profile, const Context& context,
                  const DetectorConfig& config, std::vector<Detection>* out) const override {
     if (!config.data_analysis) return;
-    std::string base = StripNumericSuffix(profile.table);
-    if (base.empty() || EqualsIgnoreCase(base, profile.table)) return;
-    for (const auto* other : context.catalog().Tables()) {
+    std::string_view stem = Catalog::CloneStem(profile.table);
+    if (stem.empty()) return;
+    for (const auto* other : context.catalog().TablesWithStem(stem)) {
       if (EqualsIgnoreCase(other->name, profile.table)) continue;
-      std::string other_base = StripNumericSuffix(other->name);
-      if (!other_base.empty() && EqualsIgnoreCase(other_base, base)) {
-        Detection d;
-        d.type = type();
-        d.source = DetectionSource::kDataAnalysis;
-        d.table = profile.table;
-        d.message = "table '" + profile.table + "' matches the clone pattern '" + base +
-                    "_N'";
-        out->push_back(std::move(d));
-        return;
-      }
+      Detection d;
+      d.type = type();
+      d.source = DetectionSource::kDataAnalysis;
+      d.table = profile.table;
+      d.message = "table '" + profile.table + "' matches the clone pattern '" +
+                  std::string(stem) + "_N'";
+      out->push_back(std::move(d));
+      return;
     }
-  }
-
- private:
-  static std::string StripNumericSuffix(std::string_view name) {
-    size_t end = name.size();
-    while (end > 0 && std::isdigit(static_cast<unsigned char>(name[end - 1]))) --end;
-    if (end == name.size() || end == 0) return "";
-    if (name[end - 1] == '_') --end;
-    if (end == 0) return "";
-    return std::string(name.substr(0, end));
   }
 };
 

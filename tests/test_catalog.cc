@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <random>
+
+#include "common/strings.h"
 #include "sql/parser.h"
 
 namespace sqlcheck {
@@ -111,6 +115,229 @@ TEST_F(CatalogTest, TablesEnumeration) {
   Apply("CREATE TABLE a (x INT)");
   Apply("CREATE TABLE b (y INT)");
   EXPECT_EQ(catalog_.Tables().size(), 2u);
+}
+
+TEST_F(CatalogTest, RenameTableKeepsItsIndexes) {
+  Apply("CREATE TABLE t (id INT PRIMARY KEY, email VARCHAR(64))");
+  Apply("CREATE INDEX idx_t_email ON t (email)");
+  ASSERT_TRUE(Apply("ALTER TABLE t RENAME TO Users").ok());
+  EXPECT_TRUE(catalog_.IndexesOnTable("t").empty());
+  auto on_users = catalog_.IndexesOnTable("users");
+  ASSERT_EQ(on_users.size(), 1u);
+  EXPECT_EQ(on_users[0]->name, "idx_t_email");
+  EXPECT_EQ(on_users[0]->table, "Users");
+  EXPECT_TRUE(catalog_.HasIndexOnColumn("USERS", "email"));
+  // The renamed table's indexes still drop with it.
+  Apply("DROP TABLE users");
+  EXPECT_EQ(catalog_.FindIndex("idx_t_email"), nullptr);
+}
+
+TEST_F(CatalogTest, RenameTableOntoAnExistingTableFails) {
+  Apply("CREATE TABLE a (x INT)");
+  Apply("CREATE TABLE b (y INT)");
+  Apply("CREATE INDEX idx_a_x ON a (x)");
+  EXPECT_FALSE(Apply("ALTER TABLE a RENAME TO B").ok());
+  ASSERT_NE(catalog_.FindTable("a"), nullptr);
+  EXPECT_NE(catalog_.FindTable("b")->FindColumn("y"), nullptr);
+  EXPECT_EQ(catalog_.IndexesOnTable("a").size(), 1u);
+  EXPECT_TRUE(catalog_.IndexesOnTable("b").empty());
+}
+
+TEST_F(CatalogTest, RenameColumnRenamesIndexColumns) {
+  Apply("CREATE TABLE users (id INT PRIMARY KEY, email VARCHAR(64), name TEXT)");
+  Apply("CREATE INDEX idx_users_name_email ON users (name, EMAIL)");
+  Apply("CREATE INDEX idx_other_email ON other (email)");
+  ASSERT_TRUE(Apply("ALTER TABLE users RENAME COLUMN email TO mail").ok());
+  EXPECT_EQ(catalog_.FindIndex("idx_users_name_email")->columns,
+            (std::vector<std::string>{"name", "mail"}));
+  // Another table's index on a same-named column is not touched.
+  EXPECT_EQ(catalog_.FindIndex("idx_other_email")->columns,
+            (std::vector<std::string>{"email"}));
+}
+
+TEST(CatalogStemTest, CloneStemStripsNumericSuffix) {
+  EXPECT_EQ(Catalog::CloneStem("orders_2"), "orders");
+  EXPECT_EQ(Catalog::CloneStem("Orders2019"), "Orders");
+  EXPECT_EQ(Catalog::CloneStem("a_b_12"), "a_b");
+  EXPECT_EQ(Catalog::CloneStem("orders"), "");
+  EXPECT_EQ(Catalog::CloneStem("2019"), "");
+  EXPECT_EQ(Catalog::CloneStem("_7"), "");
+  EXPECT_EQ(Catalog::CloneStem(""), "");
+}
+
+// ---- secondary indexes vs. a linear-scan reference ----
+
+// Reference stemmer, written independently of Catalog::CloneStem so the
+// differential test checks that too.
+std::string ReferenceStem(std::string_view name) {
+  size_t end = name.size();
+  while (end > 0 && std::isdigit(static_cast<unsigned char>(name[end - 1]))) --end;
+  if (end == name.size() || end == 0) return "";
+  if (name[end - 1] == '_') --end;
+  return std::string(name.substr(0, end));
+}
+
+std::vector<const IndexSchema*> ScanIndexesOnTable(const Catalog& catalog,
+                                                   std::string_view table) {
+  std::vector<const IndexSchema*> out;
+  for (const auto* index : catalog.Indexes()) {
+    if (EqualsIgnoreCase(index->table, table)) out.push_back(index);
+  }
+  return out;
+}
+
+bool ScanHasIndexOnColumn(const Catalog& catalog, std::string_view table,
+                          std::string_view column) {
+  for (const auto* index : catalog.Indexes()) {
+    if (EqualsIgnoreCase(index->table, table) && !index->columns.empty() &&
+        EqualsIgnoreCase(index->columns[0], column)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<const TableSchema*> ScanTablesWithStem(const Catalog& catalog,
+                                                   std::string_view stem) {
+  std::vector<const TableSchema*> out;
+  for (const auto* table : catalog.Tables()) {
+    std::string table_stem = ReferenceStem(table->name);
+    if (!table_stem.empty() && EqualsIgnoreCase(table_stem, stem)) out.push_back(table);
+  }
+  return out;
+}
+
+// Mixed-case pools: "t"/"T" and "orders_3"/"Orders_3" name the same object.
+const std::vector<std::string> kTables = {"t",      "T",        "t1",      "T_2",
+                                          "orders", "Orders_3", "orders4", "ORDERS_10",
+                                          "x_1",    "users",    "Users2"};
+const std::vector<std::string> kColumns = {"a", "B", "c"};
+const std::vector<std::string> kIndexNames = {"i1", "I1", "i2", "ix_a", "IX_B", "i_3"};
+const std::vector<std::string> kStems = {"t",     "T",     "orders", "ORDERS",
+                                         "x",     "users", "zzz"};
+
+// Describes the first answer where the secondary indexes disagree with the
+// linear scan (pointer identity, so contents and order both count), or "".
+std::string FirstMismatch(const Catalog& catalog) {
+  for (const auto& table : kTables) {
+    if (catalog.IndexesOnTable(table) != ScanIndexesOnTable(catalog, table)) {
+      return "IndexesOnTable(" + table + ")";
+    }
+    for (const auto& column : kColumns) {
+      if (catalog.HasIndexOnColumn(table, column) !=
+          ScanHasIndexOnColumn(catalog, table, column)) {
+        return "HasIndexOnColumn(" + table + ", " + column + ")";
+      }
+    }
+  }
+  for (const auto& stem : kStems) {
+    if (catalog.TablesWithStem(stem) != ScanTablesWithStem(catalog, stem)) {
+      return "TablesWithStem(" + stem + ")";
+    }
+  }
+  for (const auto* table : catalog.Tables()) {
+    if (Catalog::CloneStem(table->name) != ReferenceStem(table->name)) {
+      return "CloneStem(" + table->name + ")";
+    }
+  }
+  return "";
+}
+
+// Every answer, by name, so two catalogs can be compared.
+std::string Answers(const Catalog& catalog) {
+  std::string out;
+  for (const auto& table : kTables) {
+    out += table + ":";
+    for (const auto* index : catalog.IndexesOnTable(table)) {
+      out += " " + index->name + "@" + index->table;
+      out += "(" + Join(index->columns, ",") + ")";
+    }
+    for (const auto& column : kColumns) {
+      out += catalog.HasIndexOnColumn(table, column) ? " +" : " -";
+    }
+    out += "\n";
+  }
+  for (const auto& stem : kStems) {
+    out += stem + ":";
+    for (const auto* table : catalog.TablesWithStem(stem)) out += " " + table->name;
+    out += "\n";
+  }
+  return out;
+}
+
+struct RandomDdl {
+  std::string sql;
+  sql::StatementKind kind;
+};
+
+RandomDdl NextDdl(std::mt19937& rng) {
+  auto draw = [&](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  // Every draw happens up front, in a fixed order, so a seed names one sequence.
+  const size_t op = draw(6);
+  const std::string& table = kTables[draw(kTables.size())];
+  const std::string& other_table = kTables[draw(kTables.size())];
+  const std::string& index = kIndexNames[draw(kIndexNames.size())];
+  const std::string& column = kColumns[draw(kColumns.size())];
+  const std::string& other_column = kColumns[draw(kColumns.size())];
+  const std::string if_exists = draw(2) == 1 ? "IF EXISTS " : "";
+  const std::string if_not_exists = draw(2) == 1 ? "IF NOT EXISTS " : "";
+  const std::string unique = draw(2) == 1 ? "UNIQUE " : "";
+  const std::string columns = draw(2) == 1 ? column + ", " + other_column : column;
+  switch (op) {
+    case 0:
+      return {"CREATE TABLE " + if_not_exists + table + " (a INT, b INT, c INT)",
+              sql::StatementKind::kCreateTable};
+    case 1:
+      return {"DROP TABLE " + if_exists + table, sql::StatementKind::kDropTable};
+    case 2:
+      // The table need not be declared: indexes may precede their table.
+      return {"CREATE " + unique + "INDEX " + if_not_exists + index + " ON " + table +
+                  " (" + columns + ")",
+              sql::StatementKind::kCreateIndex};
+    case 3:
+      return {"DROP INDEX " + if_exists + index, sql::StatementKind::kDropIndex};
+    case 4:
+      return {"ALTER TABLE " + table + " RENAME TO " + other_table,
+              sql::StatementKind::kAlterTable};
+    default:
+      return {"ALTER TABLE " + table + " RENAME COLUMN " + column + " TO " + other_column,
+              sql::StatementKind::kAlterTable};
+  }
+}
+
+TEST(CatalogIndexDifferentialTest, SecondaryIndexesMatchLinearScan) {
+  for (uint32_t seed : {1u, 7u, 42u, 1234u, 99991u}) {
+    std::mt19937 rng(seed);
+    Catalog catalog;
+    std::string trace;
+    for (int step = 0; step < 400; ++step) {
+      RandomDdl ddl = NextDdl(rng);
+      trace += ddl.sql + ";\n";
+      auto stmt = Parse(ddl.sql);
+      ASSERT_EQ(stmt->kind, ddl.kind) << ddl.sql;
+
+      Catalog before = catalog;
+      std::string answers_before = Answers(before);
+      catalog.ApplyDdl(*stmt);  // errors (duplicates, missing names) are part of the mix
+
+      ASSERT_EQ(FirstMismatch(catalog), "") << "seed " << seed << " after:\n" << trace;
+      // A copy taken before the step is unaffected by it.
+      ASSERT_EQ(FirstMismatch(before), "") << "seed " << seed << " copy:\n" << trace;
+      ASSERT_EQ(Answers(before), answers_before) << "seed " << seed;
+      // Copied and moved catalogs answer the same, from their own storage.
+      Catalog copy = catalog;
+      ASSERT_EQ(FirstMismatch(copy), "") << "seed " << seed;
+      Catalog moved = std::move(copy);
+      ASSERT_EQ(FirstMismatch(moved), "") << "seed " << seed;
+      ASSERT_EQ(Answers(moved), Answers(catalog)) << "seed " << seed;
+      Catalog assigned;
+      assigned = std::move(moved);
+      ASSERT_EQ(FirstMismatch(assigned), "") << "seed " << seed;
+      ASSERT_EQ(Answers(assigned), Answers(catalog)) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

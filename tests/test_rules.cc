@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sqlcheck.h"
 #include "engine/executor.h"
 #include "storage/database.h"
 
@@ -231,6 +232,38 @@ TEST(RuleIndexUnderuseTest, LowCardinalitySuppressedByDataAnalysis) {
   DetectorConfig no_data;
   no_data.data_analysis = false;
   EXPECT_GE(CountType(Detect(query, &db, no_data), AntiPattern::kIndexUnderuse), 1);
+}
+
+int CountReported(const std::string& script, AntiPattern type) {
+  SqlCheck checker;
+  checker.AddScript(script);
+  return checker.Run().CountsByType()[type];
+}
+
+TEST(RuleIndexUnderuseTest, RenamedTableKeepsItsIndex) {
+  const std::string query = "SELECT id FROM users WHERE email = 1;";
+  const std::string unindexed =
+      "CREATE TABLE users (id INT PRIMARY KEY, email VARCHAR(64));" + query;
+  ASSERT_EQ(CountReported(unindexed, AntiPattern::kIndexUnderuse), 1);
+  const std::string renamed =
+      "CREATE TABLE t (id INT PRIMARY KEY, email VARCHAR(64));"
+      "CREATE INDEX idx_t_email ON t (email);"
+      "ALTER TABLE t RENAME TO users;" +
+      query;
+  EXPECT_EQ(CountReported(renamed, AntiPattern::kIndexUnderuse), 0);
+}
+
+TEST(RuleIndexUnderuseTest, RenamedColumnKeepsItsIndex) {
+  const std::string query = "SELECT id FROM users WHERE mail = 1;";
+  const std::string unindexed =
+      "CREATE TABLE users (id INT PRIMARY KEY, mail VARCHAR(64));" + query;
+  ASSERT_EQ(CountReported(unindexed, AntiPattern::kIndexUnderuse), 1);
+  const std::string renamed =
+      "CREATE TABLE users (id INT PRIMARY KEY, email VARCHAR(64));"
+      "CREATE INDEX idx_users_email ON users (email);"
+      "ALTER TABLE users RENAME COLUMN email TO mail;" +
+      query;
+  EXPECT_EQ(CountReported(renamed, AntiPattern::kIndexUnderuse), 0);
 }
 
 TEST(RuleCloneTableTest, NumericSuffixFamily) {
