@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -38,9 +39,56 @@ std::string ToJson(const Report& report, const EmitOptions& options = {});
 /// against the SARIF 2.1.0 required-key set by golden-file tests.
 std::string ToSarif(const Report& report, const EmitOptions& options = {});
 
-/// \brief Escapes a string for embedding inside a JSON string literal
-/// (quotes, backslashes, and control characters; no surrounding quotes).
+/// \brief Appends `s` to `*out` escaped for the inside of a JSON string
+/// literal (no surrounding quotes): `"` and `\` get a backslash, control
+/// bytes below 0x20 get their short escape or `\u00XX`, and every other
+/// byte, UTF-8 included, is copied as is. Runs of clean bytes are copied
+/// in bulk. Escaping is per byte, so escaping two strings back to back
+/// equals escaping their concatenation.
+void AppendJsonString(std::string* out, std::string_view s);
+
+/// \brief JsonEscape(s) is AppendJsonString into a fresh string.
 std::string JsonEscape(std::string_view s);
+
+/// \brief The append-only JSON writer behind the library's JSON emitters:
+/// ToJson, ToSarif and FindingToJsonLine here, the server's response lines
+/// and the scan report. Single-writer contract: an emitter appends into one
+/// caller-owned `std::string`, reserved once up front, so no field, indent
+/// or number becomes a string of its own. `<<` appends bytes that are
+/// already valid JSON (punctuation, keys, literals) or a decimal integer
+/// (`std::to_chars`); `String` and `Escaped` append text that needs
+/// escaping, through AppendJsonString.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  JsonWriter& operator<<(std::string_view raw) {
+    out_->append(raw);
+    return *this;
+  }
+  JsonWriter& operator<<(char raw) {
+    out_->push_back(raw);
+    return *this;
+  }
+  JsonWriter& operator<<(uint64_t value);
+  JsonWriter& operator<<(int value);
+
+  /// `s` as a quoted JSON string.
+  JsonWriter& String(std::string_view s) {
+    out_->push_back('"');
+    AppendJsonString(out_, s);
+    out_->push_back('"');
+    return *this;
+  }
+  /// `s` escaped, without quotes: for one string literal built from pieces.
+  JsonWriter& Escaped(std::string_view s) {
+    AppendJsonString(out_, s);
+    return *this;
+  }
+
+ private:
+  std::string* out_;
+};
 
 /// \brief One finding as a single-line JSON object — the NDJSON unit of the
 /// sqlcheck-server wire protocol. Carries exactly the fields of a ToJson
@@ -50,5 +98,9 @@ std::string JsonEscape(std::string_view s);
 /// findings cannot drift from the batch document format.
 std::string FindingToJsonLine(const Finding& finding, size_t rank,
                               bool include_fixes = false);
+
+/// \brief FindingToJsonLine, appended to `*out` instead of returned.
+void AppendFindingJsonLine(std::string* out, const Finding& finding, size_t rank,
+                           bool include_fixes = false);
 
 }  // namespace sqlcheck

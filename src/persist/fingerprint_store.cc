@@ -697,6 +697,7 @@ Status FingerprintStore::Commit() {
   }
   (void)::fsync(fd_);
   log_end_ = pending_end_;
+  stats_.bytes = log_end_;
   committed_entries_ += uncommitted_entries_;
   uncommitted_entries_ = 0;
   pending_buf_.clear();

@@ -65,7 +65,7 @@ struct StmtRef {
 struct StoreStats {
   uint64_t entries = 0;        ///< Statement entries probeable now.
   uint64_t file_entries = 0;   ///< File-manifest entries (committed + staged).
-  uint64_t bytes = 0;          ///< Committed file bytes at open.
+  uint64_t bytes = 0;          ///< Committed file bytes (header included).
   uint64_t generation = 0;     ///< Bumped every rebuild/compaction.
   uint64_t hits = 0;           ///< Statement probe hits since open.
   uint64_t misses = 0;         ///< Statement probe misses since open.

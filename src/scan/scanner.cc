@@ -402,12 +402,21 @@ void AppendFormatted(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
 void AppendFormatted(std::string& out, const char* fmt, ...) {
-  char buf[512];
+  // Formats in place at the exact length: a row is never cut short, however
+  // long the repository name.
   va_list args;
   va_start(args, fmt);
-  int n = vsnprintf(buf, sizeof(buf), fmt, args);
+  va_list again;
+  va_copy(again, args);
+  const int n = vsnprintf(nullptr, 0, fmt, args);
   va_end(args);
-  if (n > 0) out.append(buf, std::min<size_t>(static_cast<size_t>(n), sizeof(buf) - 1));
+  if (n > 0) {
+    const size_t at = out.size();
+    out.resize(at + static_cast<size_t>(n) + 1);  // room for the terminator
+    vsnprintf(out.data() + at, static_cast<size_t>(n) + 1, fmt, again);
+    out.resize(at + static_cast<size_t>(n));
+  }
+  va_end(again);
 }
 
 }  // namespace
@@ -449,56 +458,37 @@ std::string ScanReport::ToText() const {
 }
 
 std::string ScanReport::ToJson() const {
-  std::string out = "{\n";
-  AppendFormatted(out,
-                  "  \"scan\": {\"repos\": %llu, \"files\": %llu, "
-                  "\"statements\": %llu, \"unique_statements\": %llu, "
-                  "\"unique_templates\": %llu, \"findings\": %llu},\n",
-                  static_cast<unsigned long long>(repos),
-                  static_cast<unsigned long long>(files),
-                  static_cast<unsigned long long>(statements),
-                  static_cast<unsigned long long>(unique_statements),
-                  static_cast<unsigned long long>(unique_templates),
-                  static_cast<unsigned long long>(findings));
-  AppendFormatted(out,
-                  "  \"severity\": {\"high\": %llu, \"medium\": %llu, \"low\": %llu},\n",
-                  static_cast<unsigned long long>(severity_high),
-                  static_cast<unsigned long long>(severity_medium),
-                  static_cast<unsigned long long>(severity_low));
-  out += "  \"rules\": [";
+  std::string json;
+  JsonWriter out(&json);
+  out << "{\n  \"scan\": {\"repos\": " << repos << ", \"files\": " << files
+      << ", \"statements\": " << statements
+      << ", \"unique_statements\": " << unique_statements
+      << ", \"unique_templates\": " << unique_templates << ", \"findings\": " << findings
+      << "},\n  \"severity\": {\"high\": " << severity_high << ", \"medium\": "
+      << severity_medium << ", \"low\": " << severity_low << "},\n  \"rules\": [";
   bool first = true;
   for (int k = 0; k < kAntiPatternCount; ++k) {
     const RuleRow& row = rules[k];
     if (row.occurrences == 0) continue;
-    out += first ? "\n" : ",\n";
+    out << (first ? "\n" : ",\n") << "    {\"rule\": ";
     first = false;
     AntiPattern type = static_cast<AntiPattern>(k);
-    AppendFormatted(out,
-                    "    {\"rule\": \"%s\", \"id\": \"%s\", \"occurrences\": %llu, "
-                    "\"statements\": %llu, \"repos\": %llu}",
-                    JsonEscape(ApName(type)).c_str(), ApSlug(type).c_str(),
-                    static_cast<unsigned long long>(row.occurrences),
-                    static_cast<unsigned long long>(row.statements),
-                    static_cast<unsigned long long>(row.repos));
+    out.String(ApName(type)) << ", \"id\": ";
+    out.String(ApSlug(type)) << ", \"occurrences\": " << row.occurrences
+                             << ", \"statements\": " << row.statements
+                             << ", \"repos\": " << row.repos << '}';
   }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"repos\": [";
+  out << (first ? "],\n" : "\n  ],\n") << "  \"repos\": [";
   first = true;
   for (const RepoRow& row : repo_rows) {
-    out += first ? "\n" : ",\n";
+    out << (first ? "\n" : ",\n") << "    {\"name\": ";
     first = false;
-    AppendFormatted(out,
-                    "    {\"name\": \"%s\", \"files\": %llu, \"statements\": %llu, "
-                    "\"findings\": %llu, \"rules\": %llu}",
-                    JsonEscape(row.name).c_str(),
-                    static_cast<unsigned long long>(row.files),
-                    static_cast<unsigned long long>(row.statements),
-                    static_cast<unsigned long long>(row.findings),
-                    static_cast<unsigned long long>(row.rules));
+    out.String(row.name) << ", \"files\": " << row.files << ", \"statements\": "
+                         << row.statements << ", \"findings\": " << row.findings
+                         << ", \"rules\": " << row.rules << '}';
   }
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
+  out << (first ? "]\n" : "\n  ]\n") << "}\n";
+  return json;
 }
 
 uint64_t DigestScanReport(const ScanReport& report) {

@@ -77,10 +77,12 @@ class SessionHandler {
   std::string HandleReset();
   std::string HandleStats();
 
-  /// `{"op": "finding", "finding": {...}}` — the NDJSON finding unit; the
-  /// inner object is exactly FindingToJsonLine's, so server findings are
-  /// byte-comparable against a batch SqlCheck::Run() of the same stream.
-  std::string FindingLine(const Finding& finding, size_t rank) const;
+  /// Appends `{"op": "finding", "finding": {...}}` — the NDJSON finding
+  /// unit; the inner object is exactly FindingToJsonLine's, so server
+  /// findings are byte-comparable against a batch SqlCheck::Run() of the
+  /// same stream.
+  void AppendFindingLine(std::string* response, const Finding& finding,
+                         size_t rank) const;
 
   SqlCheckOptions options_;
   bool include_fixes_;

@@ -260,21 +260,21 @@ Request ParseRequest(std::string_view line) {
 }
 
 std::string ErrorLine(std::string_view code, std::string_view message) {
-  std::string line = "{\"ok\": false, \"error\": {\"code\": \"";
-  line += JsonEscape(code);
-  line += "\", \"message\": \"";
-  line += JsonEscape(message);
-  line += "\"}}\n";
+  std::string line;
+  JsonWriter out(&line);
+  out << "{\"ok\": false, \"error\": {\"code\": ";
+  out.String(code) << ", \"message\": ";
+  out.String(message) << "}}\n";
   return line;
 }
 
 std::string OverloadedLine(uint64_t retry_after_ms) {
-  std::string line = "{\"ok\": false, \"error\": {\"code\": \"";
-  line += ErrorCode::kOverloaded;
-  line += "\", \"message\": \"server overloaded; retry after the hint\"}, "
-          "\"retry_after_ms\": ";
-  line += std::to_string(retry_after_ms);
-  line += "}\n";
+  std::string line;
+  JsonWriter(&line) << "{\"ok\": false, \"error\": {\"code\": \""
+                    << ErrorCode::kOverloaded
+                    << "\", \"message\": \"server overloaded; retry after the hint\"}, "
+                       "\"retry_after_ms\": "
+                    << retry_after_ms << "}\n";
   return line;
 }
 
@@ -294,26 +294,22 @@ std::string StatementErrorLine(std::string_view code, std::string_view message,
     const size_t expect = first >= 0xF0 ? 4 : first >= 0xE0 ? 3 : 2;
     if (lead - 1 + expect > prefix.size()) prefix = prefix.substr(0, lead - 1);
   }
-  std::string line = "{\"op\": \"statement_error\", \"ok\": false, \"error\": {\"code\": \"";
-  line += JsonEscape(code);
-  line += "\", \"message\": \"";
-  line += JsonEscape(message);
-  line += "\"}, \"sql\": \"";
-  line += JsonEscape(prefix);
-  if (prefix.size() < sql.size()) line += "...";
-  line += "\", \"quarantined\": ";
-  line += quarantined ? "true" : "false";
-  line += "}\n";
+  std::string line;
+  JsonWriter out(&line);
+  out << "{\"op\": \"statement_error\", \"ok\": false, \"error\": {\"code\": ";
+  out.String(code) << ", \"message\": ";
+  out.String(message) << "}, \"sql\": \"";
+  out.Escaped(prefix) << (prefix.size() < sql.size() ? "..." : "")
+                      << "\", \"quarantined\": " << (quarantined ? "true" : "false")
+                      << "}\n";
   return line;
 }
 
 std::string HelloLine(int rule_count) {
-  std::string line = "{\"op\": \"hello\", \"ok\": true, \"tool\": \"sqlcheck-server\", "
-                     "\"protocol\": ";
-  line += std::to_string(kProtocolVersion);
-  line += ", \"rules\": ";
-  line += std::to_string(rule_count);
-  line += "}\n";
+  std::string line;
+  JsonWriter(&line) << "{\"op\": \"hello\", \"ok\": true, \"tool\": \"sqlcheck-server\", "
+                       "\"protocol\": "
+                    << kProtocolVersion << ", \"rules\": " << rule_count << "}\n";
   return line;
 }
 

@@ -4,10 +4,15 @@
 // to the 2.1.0 required-key set plus the full 27-rule driver catalog.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "common/random.h"
 #include "core/emit.h"
 #include "core/sqlcheck.h"
+#include "server/wire.h"
+#include "workload/corpus.h"
 
 namespace sqlcheck {
 namespace {
@@ -296,6 +301,114 @@ TEST(ReportTextTest, ColorAddsAnsiWithoutChangingDefaultOutput) {
     stripped.push_back(colored[i]);
   }
   EXPECT_EQ(stripped, plain);
+}
+
+/// A `check` request line carrying `sql`, escaped by AppendJsonString.
+std::string CheckLine(std::string_view sql) {
+  std::string line = R"({"op": "check", "sql": ")";
+  AppendJsonString(&line, sql);
+  line += "\"}";
+  return line;
+}
+
+/// Appends `cp` as UTF-8 (cp must be a valid scalar value).
+void AppendCodepoint(uint32_t cp, std::string* out) {
+  if (cp < 0x80) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+TEST(EmitEscapeTest, EveryAsciiByteRoundTripsThroughTheRequestParser) {
+  for (int b = 0; b < 0x80; ++b) {
+    const std::string sql = std::string("a") + static_cast<char>(b) + "z";
+    server::Request request = server::ParseRequest(CheckLine(sql));
+    ASSERT_TRUE(request.ok) << "byte " << b << ": " << request.error_message;
+    EXPECT_EQ(request.sql, sql) << "byte " << b;
+  }
+}
+
+TEST(EmitEscapeTest, RandomUtf8WithQuotesBackslashesAndControlsRoundTrips) {
+  Rng rng(20200614);
+  const char kSpecial[] = {'"',  '\\', '\n',   '\r',   '\t',
+                           '\b', '\f', '\x00', '\x01', '\x1f'};
+  for (int i = 0; i < 500; ++i) {
+    std::string sql;
+    const uint64_t length = rng.NextBelow(64);
+    for (uint64_t c = 0; c < length; ++c) {
+      // Special bytes, then 2-, 3- and 4-byte sequences (no surrogates),
+      // then printable ASCII.
+      const uint64_t kind = rng.NextBelow(6);
+      if (kind == 0) {
+        sql.push_back(kSpecial[rng.NextBelow(sizeof(kSpecial))]);
+      } else if (kind == 1) {
+        AppendCodepoint(0x80 + static_cast<uint32_t>(rng.NextBelow(0x780)), &sql);
+      } else if (kind == 2) {
+        AppendCodepoint(0x800 + static_cast<uint32_t>(rng.NextBelow(0xD000)), &sql);
+      } else if (kind == 3) {
+        AppendCodepoint(0x10000 + static_cast<uint32_t>(rng.NextBelow(0x100000)), &sql);
+      } else {
+        sql.push_back(static_cast<char>(0x20 + rng.NextBelow(0x60)));
+      }
+    }
+    server::Request request = server::ParseRequest(CheckLine(sql));
+    ASSERT_TRUE(request.ok) << "string " << i << ": " << request.error_message;
+    EXPECT_EQ(request.sql, sql) << "string " << i;
+    // JsonEscape is the same escape into a fresh string, and appending keeps
+    // what the buffer already holds.
+    std::string appended = "prefix";
+    AppendJsonString(&appended, sql);
+    EXPECT_EQ(appended, "prefix" + JsonEscape(sql));
+  }
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(EmitDigestTest, SeededCorpusReportsKeepTheirBytes) {
+  // A 60-repository synthetic corpus through the CLI-default pipeline: 652
+  // findings with quotes, newlines and verified rewrites. The FNV-1a digests
+  // pin every byte of the three renderings.
+  workload::CorpusOptions corpus_options;
+  corpus_options.repo_count = 60;
+  corpus_options.seed = 15;
+  std::string script;
+  for (const auto& repo : workload::GenerateCorpus(corpus_options).repos) {
+    for (const auto& statement : repo.statements) {
+      script += statement.sql;
+      script += ";\n";
+    }
+  }
+  SqlCheck checker;
+  checker.AddScript(script);
+  Report report = checker.Run();
+  ASSERT_EQ(report.size(), 652u);
+
+  EmitOptions fixes;
+  fixes.include_fixes = true;
+  EmitOptions sarif = fixes;
+  sarif.artifact_uri = "corpus.sql";
+  sarif.artifact_content = script;
+  EXPECT_EQ(Fnv1a(ToJson(report)), 11445377018787573799ull);
+  EXPECT_EQ(Fnv1a(ToJson(report, fixes)), 4098979587868157582ull);
+  EXPECT_EQ(Fnv1a(ToSarif(report, sarif)), 12925669224436344800ull);
 }
 
 }  // namespace

@@ -295,9 +295,11 @@ TEST_F(PersistTest, TornFlushKeepsCommittedPrefixWarm) {
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
   ASSERT_TRUE(store.usable());
-  // The torn tail was truncated; the committed prefix survives warm.
+  // The torn tail was truncated; the committed prefix survives warm, at
+  // exactly the size it was committed at.
   EXPECT_NE(store.stats().warning.find("uncommitted"), std::string::npos);
   EXPECT_EQ(store.stats().entries, 1u);
+  EXPECT_EQ(store.stats().bytes, committed_bytes);
   std::vector<StoredFinding> got;
   EXPECT_TRUE(store.Probe("SELECT old", 0x1, &got));
   EXPECT_FALSE(store.Probe("SELECT new", 0x2, &got));

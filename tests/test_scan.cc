@@ -20,6 +20,7 @@
 #include "persist/fingerprint_store.h"
 #include "rules/registry.h"
 #include "scan/scanner.h"
+#include "server/wire.h"
 #include "sql/fingerprint.h"
 
 namespace sqlcheck::scan {
@@ -271,6 +272,32 @@ TEST_F(ScanTest, AutoJobsClampToHardwareAndFileCount) {
   EXPECT_EQ(explicit_run.summary.jobs,
             std::min<int>(64, static_cast<int>(explicit_run.report.files)));
   EXPECT_EQ(explicit_run.digest, auto_run.digest);
+}
+
+TEST_F(ScanTest, LongEscapedRepoNameRoundTripsThroughJson) {
+  // 250 quotes escape to 500 bytes: past any fixed formatting buffer, so a
+  // capped row would cut the string literal off mid-escape.
+  const std::string name(250, '"');
+  WriteFile(name + "/queries.sql", "SELECT * FROM users;\n");
+  Run run = Scan("");
+  const std::string json = run.report.ToJson();
+
+  const std::string key = "{\"name\": \"";
+  size_t begin = json.find(key, json.find("\"repos\": ["));
+  ASSERT_NE(begin, std::string::npos);
+  begin += key.size();
+  size_t end = begin;
+  while (end < json.size() && json[end] != '"') end += json[end] == '\\' ? 2 : 1;
+  ASSERT_LT(end, json.size());
+  EXPECT_EQ(json.compare(end, 15, "\", \"files\": 1, "), 0);
+  const std::string literal = json.substr(begin, end - begin);
+  server::Request decoded =
+      server::ParseRequest(R"({"op": "check", "sql": ")" + literal + "\"}");
+  ASSERT_TRUE(decoded.ok) << decoded.error_message;
+  EXPECT_EQ(decoded.sql, name);
+
+  // The text report pads short names to 42 columns and cuts none.
+  EXPECT_NE(run.report.ToText().find("\n" + name + "      1"), std::string::npos);
 }
 
 TEST(ScanFingerprintsTest, TemplateOfExactMatchesTemplateOfRaw) {
