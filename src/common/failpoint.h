@@ -84,6 +84,10 @@ class FailpointScopeSuspend {
   int saved_;
 };
 
+/// Attempts a recovery-capable region makes before it gives a transient
+/// fault (arena_alloc, memo_insert) up as persistent.
+inline constexpr int kFaultRetryAttempts = 4;
+
 /// \brief Counters/config snapshot of one failpoint, for tests and the
 /// operator-facing listing.
 struct FailpointInfo {

@@ -19,15 +19,6 @@ const char* SourceName(DetectionSource source) {
   return "unknown";
 }
 
-/// The general format with 6 significant digits is printf's %.6g, the
-/// precision ToText's ostream formatting uses, and always yields a valid
-/// JSON number for the bounded [0, 1] scores. `buf` must hold 32 bytes.
-std::string_view FormatScore(double score, char* buf) {
-  const std::to_chars_result r =
-      std::to_chars(buf, buf + 32, score, std::chars_format::general, 6);
-  return std::string_view(buf, static_cast<size_t>(r.ptr - buf));
-}
-
 /// ApSlug, computed once per anti-pattern instead of once per finding.
 std::string_view Slug(AntiPattern type) {
   static const std::array<std::string, kAntiPatternCount> kSlugs = [] {
@@ -82,14 +73,13 @@ void AppendFindingObject(JsonWriter& out, const Finding& f, size_t rank,
   auto key = [&out](std::string_view sep, std::string_view name) -> JsonWriter& {
     return out << sep << '"' << name << "\": ";
   };
-  char score[32];
   out << (pretty ? "    {" : "{");
   key(first2, "rank") << static_cast<uint64_t>(rank);
   key(next2, "rule").String(ApName(d.type));
   key(next2, "id").String(Slug(d.type));
   key(next2, "category").String(CategoryName(InfoFor(d.type).category));
   key(next2, "source").String(SourceName(d.source));
-  key(next2, "score") << FormatScore(f.ranked.score, score);
+  key(next2, "score") << f.ranked.score;
   if (include_fixes) {
     key(next2, "severity").String(SeverityName(ScoreSeverity(f.ranked.score)));
   }
@@ -249,6 +239,14 @@ JsonWriter& JsonWriter::operator<<(int value) {
   return *this;
 }
 
+JsonWriter& JsonWriter::operator<<(double value) {
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, 6);
+  out_->append(buf, static_cast<size_t>(r.ptr - buf));
+  return *this;
+}
+
 void AppendFindingJsonLine(std::string* out, const Finding& finding, size_t rank,
                            bool include_fixes) {
   JsonWriter writer(out);
@@ -316,7 +314,6 @@ std::string ToSarif(const Report& report, const EmitOptions& options) {
   }
   out << "\n          ]\n        }\n      },\n      \"results\": [";
   std::unordered_map<std::string, size_t> fix_cursors;
-  char score[32];
   for (size_t i = 0; i < limit; ++i) {
     const Finding& f = report.findings[i];
     const Detection& d = f.ranked.detection;
@@ -348,7 +345,7 @@ std::string ToSarif(const Report& report, const EmitOptions& options) {
     }
     AppendSarifFixes(out, f.fix, options, &fix_cursors);
     out << ",\n          \"properties\": { \"score\": "
-        << FormatScore(f.ranked.score, score) << ", \"source\": ";
+        << f.ranked.score << ", \"source\": ";
     out.String(SourceName(d.source));
     out << " }\n        }";
   }

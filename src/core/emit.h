@@ -72,6 +72,9 @@ class JsonWriter {
   }
   JsonWriter& operator<<(uint64_t value);
   JsonWriter& operator<<(int value);
+  /// A finite double with 6 significant digits: printf's %.6g, the
+  /// precision of default ostream formatting (scores in ToText).
+  JsonWriter& operator<<(double value);
 
   /// `s` as a quoted JSON string.
   JsonWriter& String(std::string_view s) {

@@ -57,16 +57,6 @@ struct SqlCheckOptions {
   /// thread. Reports are byte-identical at any setting.
   int parallelism = 1;
 
-  /// Memoize query analysis and rule evaluation by statement fingerprint:
-  /// statements whose canonical token stream matches (whitespace, comments,
-  /// and keyword case folded) are analyzed and rule-checked once, and the
-  /// results fan out to every occurrence. Real workloads re-issue the same
-  /// parameterized statements constantly, so this is a large win at zero
-  /// accuracy cost — reports are byte-identical either way. Disable it only
-  /// for custom rules that embed a statement's raw text outside
-  /// Detection::query (see Rule::CheckQuery).
-  bool dedup_queries = true;
-
   /// Tier-3 differential execution of rewrite fixes (fix/verify.h): off (the
   /// default — fixes stop at Tier 2, output stays byte-identical to PR 5),
   /// on (rewrites that diverge under their fixer's equivalence contract are

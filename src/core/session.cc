@@ -1,6 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -48,16 +47,6 @@ namespace {
 /// in: steady-state statements stay far below this, so only a pathological
 /// one-off statement ever pays the trim/regrow cycle.
 constexpr size_t kScratchTrimBytes = 1 << 20;
-
-/// Reserves room for `extra` more elements without defeating geometric
-/// growth: a bare reserve(size()+1) on every chunk-of-1 append would
-/// reallocate-and-copy the whole vector each time, turning a
-/// statement-at-a-time session O(n^2).
-template <typename Vec>
-void GrowFor(Vec& v, size_t extra) {
-  const size_t need = v.size() + extra;
-  if (need > v.capacity()) v.reserve(std::max(need, v.capacity() * 2));
-}
 
 }  // namespace
 
@@ -309,162 +298,43 @@ void AnalysisSession::TrimScratch() {
 
 size_t AnalysisSession::IngestChunk(std::vector<sql::StatementPtr> stmts) {
   const size_t first = context_.statements_.size();
-  if (stmts.empty()) return first;
-
-  QueryGroups& groups = context_.query_groups_;
-  std::vector<size_t> new_uniques;  // unique-list positions added by this chunk
-
-  // Size everything for the whole chunk up front: the per-statement pushes
-  // below then cannot throw, so a memo-stage fault (the only fallible step
-  // in the serial pass) always observes a fully consistent session.
-  GrowFor(context_.statements_, stmts.size());
-  GrowFor(context_.query_facts_, stmts.size());
-  GrowFor(groups.representative, stmts.size());
-  GrowFor(groups.fingerprints, stmts.size());
-  GrowFor(groups.unique, stmts.size());
-  GrowFor(local_cache_, stmts.size());
-  GrowFor(fix_cache_, stmts.size());
-  new_uniques.reserve(stmts.size());
-
-  // Serial pass: dedup bookkeeping, catalog, slot allocation. The memos make
-  // a repeated statement cost one hash lookup here.
-  for (auto& stmt : stmts) {
-    const size_t i = context_.statements_.size();
-
-    size_t rep = i;
-    uint64_t fingerprint = 0;
-    if (options_.dedup_queries) {
-      // The memo stage allocates (canonical string + two hash-table nodes),
-      // so it can fault — for real under memory pressure, on demand under
-      // the memo_insert failpoint. It retries with rollback: if the raw-
-      // spelling insert fails after the canonical node landed, the canonical
-      // entry is erased before the retry, so no memo ever points at a
-      // statement slot that is never filled.
-      bool memo_ok = false;
-      std::string memo_error;
-      for (int attempt = 0; attempt < kFaultRetryAttempts && !memo_ok; ++attempt) {
-        try {
-          FailpointScope fault_scope;  // memo allocations are a chaos seam
-          rep = i;
-          auto raw_it = raw_memo_.find(std::string_view(stmt->raw_sql));
-          if (raw_it != raw_memo_.end()) {
-            rep = raw_it->second;
-            fingerprint = groups.fingerprints[rep];
-          } else {
-            if (SQLCHECK_SCOPED_FAILPOINT("memo_insert")) throw std::bad_alloc();
-            std::string canonical =
-                sql::CanonicalizeSql(stmt->raw_sql, sql::FingerprintOptions::Exact());
-            fingerprint = sql::FingerprintCanonical(canonical);
-            auto [canon_it, inserted] =
-                canonical_memo_.try_emplace(std::move(canonical), i);
-            rep = canon_it->second;
-            try {
-              raw_memo_.emplace(std::string(stmt->raw_sql), rep);
-            } catch (...) {
-              if (inserted) canonical_memo_.erase(canon_it);
-              throw;
-            }
-          }
-          memo_ok = true;
-          if (attempt > 0) faults_recovered_.fetch_add(1, std::memory_order_relaxed);
-        } catch (const std::exception& e) {
-          memo_error = e.what();
-        }
-      }
-      if (!memo_ok) {
-        // Persistent fault: drop the statement whole — it never touched the
-        // catalog, the group tables, or the aggregates, so the session is
-        // byte-identical to one that never saw it.
-        Quarantine(stmt->raw_sql);
-        RecordFailure(stmt->raw_sql, "internal_error",
-                      "statement bookkeeping failed persistently (" + memo_error +
-                          "); fingerprint quarantined",
-                      /*quarantined=*/true);
-        continue;
-      }
-      groups.representative.push_back(rep);
-      groups.fingerprints.push_back(fingerprint);
-    } else {
-      groups.representative.push_back(i);
-    }
-    // Catalog mutation comes after the fallible memo stage on purpose: a
-    // dropped statement must not leave DDL side effects behind.
-    context_.catalog_.ApplyDdl(*stmt);  // ignores DML; duplicate DDL is a no-op
-    if (rep == i) {
-      unique_pos_.emplace(i, groups.unique.size());
-      new_uniques.push_back(groups.unique.size());
-      groups.unique.push_back(i);
-      local_cache_.emplace_back();
-      fix_cache_.emplace_back();
-    }
-    context_.statements_.push_back(std::move(stmt));
-    context_.query_facts_.emplace_back();
-  }
-
-  const size_t n = context_.statements_.size();
-  int threads = ThreadPool::ResolveParallelism(options_.parallelism);
+  const size_t first_group = context_.query_groups_.unique.size();
+  const int threads = ThreadPool::ResolveParallelism(options_.parallelism);
   std::unique_ptr<ThreadPool> pool;
-  if (threads > 1 && new_uniques.size() > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
+  if (threads > 1 && stmts.size() > 1) pool = std::make_unique<ThreadPool>(threads);
+  IngestResult result =
+      context_.Append(std::move(stmts), threads, pool.get(), /*memo=*/true);
+  faults_recovered_.fetch_add(result.faults_recovered, std::memory_order_relaxed);
 
-  // Analyze each new unique statement (sharded — analysis is independent per
-  // statement) and pre-evaluate its statement-local rules into the cache.
-  // Pool tasks must not throw, so each statement's analysis retries in-lambda;
-  // a persistent fault degrades that one statement to empty facts and a
-  // full-but-empty cache row (so later lazy passes don't re-run it), and the
-  // statement's fingerprint is quarantined.
+  // One cache row per group, filled by EnsureCacheRow. A group whose
+  // analysis failed gets a full-but-empty row, so no rule runs on its empty
+  // facts.
+  const size_t unique_count = context_.query_groups_.unique.size();
+  local_cache_.resize(unique_count);
+  fix_cache_.resize(unique_count);
+  for (const IngestFailure& failure : result.failures) {
+    Quarantine(failure.sql);
+    if (failure.stage == IngestFailure::Stage::kMemo) {
+      RecordFailure(failure.sql, "internal_error",
+                    "statement bookkeeping failed persistently (" + failure.error +
+                        "); fingerprint quarantined",
+                    /*quarantined=*/true);
+    } else {
+      local_cache_[failure.group].assign(registry_.rules().size(), {});
+      RecordFailure(failure.sql, "internal_error",
+                    "statement analysis failed persistently (" + failure.error +
+                        "); findings unavailable, fingerprint quarantined",
+                    /*quarantined=*/true);
+    }
+  }
+  // Fill the new groups' rows now, beside their analysis: left to the first
+  // Snapshot, the same evaluation lengthens the report the caller waits for.
   ParallelShards(
-      new_uniques.size(), threads,
-      [this, &new_uniques](int /*shard*/, size_t begin, size_t end) {
-        const size_t rule_count = registry_.rules().size();
-        for (size_t x = begin; x < end; ++x) {
-          size_t u = new_uniques[x];
-          size_t i = context_.query_groups_.unique[u];
-          for (int attempt = 0;; ++attempt) {
-            try {
-              // thread_local scope, (re)opened per worker — and only around
-              // the retried analysis, so the catch's recovery bookkeeping
-              // cannot itself draw an injected fault.
-              FailpointScope fault_scope;
-              context_.query_facts_[i] = AnalyzeQuery(*context_.statements_[i]);
-              EnsureCacheRow(u);
-              if (attempt > 0) {
-                faults_recovered_.fetch_add(1, std::memory_order_relaxed);
-              }
-              break;
-            } catch (const std::exception& e) {
-              // EnsureCacheRow may have resized the row before throwing —
-              // clear it so the retry (or the terminal assign) starts clean
-              // instead of early-returning on a half-filled row.
-              local_cache_[u].clear();
-              if (attempt + 1 < kFaultRetryAttempts) continue;
-              context_.query_facts_[i] = QueryFacts{};
-              local_cache_[u].assign(rule_count, {});
-              Quarantine(context_.statements_[i]->raw_sql);
-              RecordFailure(context_.statements_[i]->raw_sql, "internal_error",
-                            std::string("statement analysis failed persistently (") +
-                                e.what() + "); findings unavailable, fingerprint "
-                                "quarantined",
-                            /*quarantined=*/true);
-              break;
-            }
-          }
-        }
+      unique_count - first_group, threads,
+      [this, first_group](int /*shard*/, size_t begin, size_t end) {
+        for (size_t u = first_group + begin; u < first_group + end; ++u) EnsureCacheRow(u);
       },
       pool.get());
-
-  // Duplicates take a copy of their group's facts rebased onto their own raw
-  // text and parse tree, then everything folds into the workload aggregates
-  // in workload order.
-  for (size_t i = first; i < n; ++i) {
-    size_t rep = context_.query_groups_.representative[i];
-    if (rep != i) {
-      context_.query_facts_[i] =
-          RebaseFacts(context_.query_facts_[rep], *context_.statements_[i]);
-    }
-    context_.stats_.AddStatementFacts(i, context_.query_facts_[i]);
-  }
   return first;
 }
 
@@ -508,10 +378,11 @@ Report AnalysisSession::Check(std::string_view sql) {
   const size_t n = context_.statements_.size();
 
   std::vector<Detection> detections;
+  const QueryGroups& groups = context_.query_groups_;
   for (size_t i = first; i < n; ++i) {
-    size_t rep = context_.query_groups_.representative[i];
+    size_t rep = groups.representative[i];
     std::vector<Detection> buffer;
-    AssembleGroupDetections(unique_pos_.at(rep), &buffer);
+    AssembleGroupDetections(groups.group[i], &buffer);
     if (rep == i) {
       for (auto& d : buffer) detections.push_back(std::move(d));
       continue;
@@ -572,14 +443,14 @@ Report AnalysisSession::MakeReport(std::vector<Detection> detections) {
 Fix AnalysisSession::FixForDetection(const Detection& d, const FixEngine& engine) {
   const Fixer* fixer = registry_.FindFixer(d.type);
   const Rule* rule = registry_.FindRule(d.type);
-  bool cacheable = options_.dedup_queries && !d.query.empty() && fixer != nullptr &&
+  bool cacheable = !d.query.empty() && fixer != nullptr &&
                    fixer->fix_scope() == QueryRuleScope::kStatementLocal &&
                    rule != nullptr &&
                    rule->query_scope() == QueryRuleScope::kStatementLocal;
   if (!cacheable) return engine.SuggestFix(d, context_);
-  auto raw_it = raw_memo_.find(std::string_view(d.query));
-  if (raw_it == raw_memo_.end()) return engine.SuggestFix(d, context_);
-  const size_t u = unique_pos_.at(raw_it->second);
+  const size_t* group = context_.FindRawGroup(d.query);
+  if (group == nullptr) return engine.SuggestFix(d, context_);
+  const size_t u = *group;
   for (const CachedFix& cached : fix_cache_[u]) {
     if (cached.type == d.type && cached.table == d.table &&
         cached.column == d.column) {

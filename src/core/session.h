@@ -14,7 +14,6 @@
 
 #include "analysis/context.h"
 #include "common/status.h"
-#include "common/strings.h"
 #include "core/options.h"
 #include "core/report.h"
 #include "rules/registry.h"
@@ -97,9 +96,10 @@ struct StatementFailure {
 /// whole workload per call.
 ///
 /// What stays incremental:
-///  - Parsing/analysis: each statement is parsed once; the PR-2 fingerprint
-///    memo persists across calls, so a repeated statement costs one hash
-///    lookup and a facts rebase instead of a fresh analysis.
+///  - Parsing/analysis: each statement is parsed once; the context's
+///    statement memo (Context::Append) persists across calls, so a repeated
+///    statement costs one hash lookup and a facts rebase instead of a fresh
+///    analysis.
 ///  - Statement-local rules (Rule::query_scope() == kStatementLocal) run
 ///    once per unique statement; their detections are cached and replayed.
 ///  - Workload-sensitive rules re-evaluate against maintained aggregates
@@ -158,7 +158,7 @@ class AnalysisSession {
   const Context& context() const { return context_; }
   const SqlCheckOptions& options() const { return options_; }
   size_t statement_count() const { return context_.statements_.size(); }
-  /// Unique fingerprint groups seen (== statement_count() with dedup off).
+  /// Unique fingerprint groups seen.
   size_t unique_count() const { return context_.query_groups_.unique.size(); }
   /// Fix-cache telemetry: replays served from / entries added to the
   /// per-fingerprint-group fix cache (statement-local detection/action pairs
@@ -221,17 +221,14 @@ class AnalysisSession {
   static constexpr size_t kMaxRecordedFailures = 64;
 
  private:
-  /// Parse + memo retry budget under fault injection: a transient fault
-  /// (arena_alloc, memo_insert) is retried this many times before the
-  /// statement is declared poisoned and quarantined.
-  static constexpr int kFaultRetryAttempts = 4;
-
-  /// Appends `stmts` as one chunk: dedup bookkeeping serially, analysis and
-  /// statement-local rule evaluation for new uniques sharded. Returns the
-  /// index of the first appended statement. Fault-tolerant: a statement
-  /// whose memo bookkeeping faults persistently is dropped + quarantined; a
-  /// statement whose analysis faults persistently keeps empty facts (and is
-  /// quarantined) — either way the chunk's other statements land normally.
+  /// Appends `stmts` as one chunk through Context::Append (the statement
+  /// memo and the sharded analysis of new groups), then adds and fills the
+  /// new groups' cache rows (sharded, on the same pool). Returns the index
+  /// of the first appended statement.
+  /// Fault-tolerant: a statement whose memo step faults persistently is
+  /// dropped + quarantined; a statement whose analysis faults persistently
+  /// keeps empty facts (and is quarantined). Either way the chunk's other
+  /// statements land normally.
   size_t IngestChunk(std::vector<sql::StatementPtr> stmts);
 
   /// Quota gate for every append path: true = proceed (bytes are charged),
@@ -308,15 +305,6 @@ class AnalysisSession {
   size_t ingested_bytes_ = 0;  ///< Raw SQL bytes accepted (quota accounting).
   Context context_;
   sql::TokenBuffer token_buffer_;  ///< Reused across every parse this session runs.
-
-  /// Fingerprint memo (persists across calls): raw statement bytes -> group
-  /// representative index, and exact-canonical form -> representative.
-  /// Transparent hashing so the per-statement probe takes a view of the
-  /// statement's own raw_sql — no temporary key string.
-  std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>> raw_memo_;
-  std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>> canonical_memo_;
-  /// Representative statement index -> position in query_groups().unique.
-  std::unordered_map<size_t, size_t> unique_pos_;
 
   /// Per unique group: per registry rule, the cached detections of every
   /// statement-local rule (workload-rule slots stay empty).

@@ -52,48 +52,14 @@ Status RuleRegistry::Disable(const std::vector<std::string>& names) {
   return Status::Ok();
 }
 
-namespace {
-
-/// Applies every rule to the profile shard [begin, end) of `profiles`.
-void CheckDataShard(const Context& context, const RuleRegistry& registry,
-                    const DetectorConfig& config,
-                    const std::vector<const TableProfile*>& profiles, size_t begin,
-                    size_t end, std::vector<Detection>* out) {
-  for (size_t i = begin; i < end; ++i) {
-    for (const auto& rule : registry.rules()) {
-      rule->CheckData(*profiles[i], context, config, out);
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<Detection> DetectAntiPatterns(const Context& context,
                                           const RuleRegistry& registry,
                                           const DetectorConfig& config,
                                           int parallelism, ThreadPool* pool) {
   const std::vector<QueryFacts>& queries = context.queries();
-  const size_t n = queries.size();
-
-  // Fingerprint grouping from the context build; fall back to the identity
-  // mapping for contexts that carry none (e.g. hand-constructed ones).
+  // Context::Append fills the grouping for every statement it adds.
   const QueryGroups& groups = context.query_groups();
-  QueryGroups identity;
-  const QueryGroups* g = &groups;
-  if (groups.representative.size() != n) {
-    identity.representative.resize(n);
-    identity.unique.resize(n);
-    for (size_t i = 0; i < n; ++i) identity.representative[i] = identity.unique[i] = i;
-    g = &identity;
-  }
-  const size_t unique_count = g->unique.size();
-
-  // Profiles in map-iteration order, so serial and sharded runs agree.
-  std::vector<const TableProfile*> profiles;
-  if (config.data_analysis) {
-    profiles.reserve(context.data().profiles.size());
-    for (const auto& [_, profile] : context.data().profiles) profiles.push_back(&profile);
-  }
+  const size_t unique_count = groups.unique.size();
 
   // Query rules run once per unique fingerprint group (Algorithm 2 memoized):
   // every statement in a group carries identical facts modulo raw_sql/stmt,
@@ -101,46 +67,23 @@ std::vector<Detection> DetectAntiPatterns(const Context& context,
   // them. Results land in per-group slots, then fan back out to every
   // occurrence in original statement order — reproducing the serial
   // (query-major, rule-minor) detection stream byte-for-byte.
-  int threads = ThreadPool::ResolveParallelism(parallelism);
-  std::unique_ptr<ThreadPool> transient;
-  if (threads > 1 && pool == nullptr) {
-    transient = std::make_unique<ThreadPool>(threads);
-    pool = transient.get();
-  }
-
   std::vector<std::vector<Detection>> per_group(unique_count);
   ParallelShards(
-      unique_count, threads,
+      unique_count, ThreadPool::ResolveParallelism(parallelism),
       [&](int /*shard*/, size_t begin, size_t end) {
         for (size_t u = begin; u < end; ++u) {
           std::vector<Detection>* out = &per_group[u];
           for (const auto& rule : registry.rules()) {
-            rule->CheckQuery(queries[g->unique[u]], context, config, out);
+            rule->CheckQuery(queries[groups.unique[u]], context, config, out);
           }
         }
       },
       pool);
 
-  std::vector<std::vector<Detection>> data_buffers(
-      static_cast<size_t>(threads > 1 ? threads : 1));
-  ParallelShards(
-      profiles.size(), threads,
-      [&](int shard, size_t begin, size_t end) {
-        CheckDataShard(context, registry, config, profiles, begin, end,
-                       &data_buffers[static_cast<size_t>(shard)]);
-      },
-      pool);
-
-  // Merge the per-shard data buffers in shard order (== profile map order),
-  // then serialize the final stream through the shared fan-out.
-  std::vector<Detection> data_detections;
-  size_t data_total = 0;
-  for (const auto& buffer : data_buffers) data_total += buffer.size();
-  data_detections.reserve(data_total);
-  for (auto& buffer : data_buffers) {
-    for (auto& d : buffer) data_detections.push_back(std::move(d));
-  }
-  return FanOutDetections(context, *g, std::move(per_group), std::move(data_detections));
+  // The data rules run in the same serial pass the session uses, then the
+  // shared fan-out serializes the final stream.
+  return FanOutDetections(context, groups, std::move(per_group),
+                          DetectDataAntiPatterns(context, registry, config));
 }
 
 std::vector<Detection> FanOutDetections(const Context& context, const QueryGroups& groups,
@@ -154,23 +97,18 @@ std::vector<Detection> FanOutDetections(const Context& context, const QueryGroup
   // raw text / parse tree wherever the rule pointed them at the
   // representative's. Statements that lead a single-occurrence group take
   // their buffer by move (the common non-duplicate case costs nothing).
-  std::vector<size_t> group_pos(n);
-  std::vector<size_t> group_size(unique_count, 0);
-  for (size_t u = 0; u < unique_count; ++u) group_pos[groups.unique[u]] = u;
-  for (size_t i = 0; i < n; ++i) ++group_size[group_pos[groups.representative[i]]];
-
+  std::vector<size_t> remaining(unique_count, 0);
   size_t total = data_detections.size();
   for (size_t i = 0; i < n; ++i) {
-    total += per_group[group_pos[groups.representative[i]]].size();
+    ++remaining[groups.group[i]];
+    total += per_group[groups.group[i]].size();
   }
 
   std::vector<Detection> detections;
   detections.reserve(total);
-  std::vector<size_t> remaining(unique_count);
-  for (size_t u = 0; u < unique_count; ++u) remaining[u] = group_size[u];
   for (size_t i = 0; i < n; ++i) {
     size_t rep = groups.representative[i];
-    size_t g = group_pos[rep];
+    size_t g = groups.group[i];
     std::vector<Detection>& buffer = per_group[g];
     bool last_occurrence = --remaining[g] == 0;
     if (rep == i) {

@@ -69,15 +69,15 @@ class RuleRegistry {
 /// distinct statement once while the report stays byte-identical to an
 /// unmemoized run.
 ///
-/// With `parallelism > 1` the workload is sharded over a ThreadPool — unique
-/// query groups and table profiles are split into contiguous index ranges,
-/// each worker evaluates the full rule set against its shard into private
-/// detection buffers, and the buffers are merged deterministically. The
-/// merged report is byte-identical to a single-threaded run. `parallelism <=
-/// 0` uses every hardware thread; rules must stay stateless/
-/// `const`-thread-safe (the built-ins are). `pool` (optional) reuses an
-/// existing pool for both the query and data phases instead of spinning up a
-/// transient one.
+/// With `parallelism > 1` the unique query groups are sharded over a
+/// ThreadPool in contiguous index ranges; each worker evaluates the full
+/// rule set against its shard into per-group detection buffers, which the
+/// fan-out serializes deterministically. The data rules run serially
+/// (DetectDataAntiPatterns, the pass the session uses). The report is
+/// byte-identical to a single-threaded run. `parallelism <= 0` uses every
+/// hardware thread; rules must stay stateless/`const`-thread-safe (the
+/// built-ins are). `pool` (optional) reuses an existing pool instead of
+/// spinning up a transient one.
 std::vector<Detection> DetectAntiPatterns(const Context& context,
                                           const RuleRegistry& registry,
                                           const DetectorConfig& config = {},

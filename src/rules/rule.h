@@ -124,12 +124,11 @@ class Rule {
   /// Applied to each analyzed query (Algorithm 2). Implementations honour
   /// `config.intra_query` / `config.inter_query` to scope what they use.
   ///
-  /// Under query dedup (SqlCheckOptions::dedup_queries, default on) this may
-  /// run once per fingerprint group and have its detections replayed for
-  /// every duplicate occurrence, with `query`/`stmt` fields rebased per
-  /// occurrence. Derive detections from `facts` and `context` only; a rule
-  /// that embeds `facts.raw_sql` anywhere other than Detection::query must
-  /// be run with dedup disabled.
+  /// Runs once per fingerprint group: its detections are replayed for every
+  /// duplicate occurrence, with `query`/`stmt` rebased per occurrence.
+  /// Derive detections from `facts` and `context` only, and put raw text
+  /// (`facts.raw_sql`) only in Detection::query, the one field the replay
+  /// rebases.
   virtual void CheckQuery(const QueryFacts& facts, const Context& context,
                           const DetectorConfig& config,
                           std::vector<Detection>* out) const {

@@ -1,6 +1,7 @@
 // Query fingerprint dedup: memoized analysis + rule evaluation must be
-// invisible in the output — reports byte-identical to an unmemoized run at
-// every parallelism level, with per-occurrence raw text preserved.
+// invisible in the output — reports byte-identical to an identity-grouped
+// build (ContextBuilder::Build(..., false)) at every parallelism level, with
+// per-occurrence raw text preserved.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "analysis/context.h"
 #include "core/sqlcheck.h"
+#include "ranking/model.h"
 #include "rules/registry.h"
 #include "sql/fingerprint.h"
 
@@ -29,21 +31,41 @@ const char* kDuplicateScript =
     "INSERT INTO users VALUES (1, 'a', 'b');\n"
     "SELECT u.name FROM users u ORDER BY RAND();\n";
 
-std::string RunReport(bool dedup, int parallelism) {
+/// The session's report (always grouped), without fixes.
+std::string SessionReport(int parallelism) {
   SqlCheckOptions options;
-  options.dedup_queries = dedup;
   options.parallelism = parallelism;
+  options.suggest_fixes = false;
   SqlCheck checker(options);
   checker.AddScript(kDuplicateScript);
   return checker.Run().ToText();
 }
 
+/// The batch detector over a grouped (`dedup`) or identity-grouped build,
+/// ranked as the session ranks, without fixes.
+std::string BatchReport(bool dedup, int parallelism) {
+  const SqlCheckOptions options;
+  ContextBuilder builder;
+  builder.AddScript(kDuplicateScript);
+  Context context = builder.Build(parallelism, nullptr, dedup);
+  RankingModel model(options.ranking_weights, options.ranking_mode);
+  Report report;
+  for (auto& ranked : model.Rank(DetectAntiPatterns(context, RuleRegistry::Default(),
+                                                    options.detector, parallelism))) {
+    Finding finding;
+    finding.ranked = std::move(ranked);
+    report.findings.push_back(std::move(finding));
+  }
+  return report.ToText();
+}
+
 TEST(DedupTest, ReportByteIdenticalWithAndWithoutDedup) {
-  std::string reference = RunReport(false, 1);
+  const std::string reference = BatchReport(/*dedup=*/false, 1);
   EXPECT_FALSE(reference.empty());
   for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(RunReport(true, threads), reference) << "dedup on, threads=" << threads;
-    EXPECT_EQ(RunReport(false, threads), reference) << "dedup off, threads=" << threads;
+    EXPECT_EQ(SessionReport(threads), reference) << "session, threads=" << threads;
+    EXPECT_EQ(BatchReport(true, threads), reference) << "grouped, threads=" << threads;
+    EXPECT_EQ(BatchReport(false, threads), reference) << "identity, threads=" << threads;
   }
 }
 

@@ -45,14 +45,15 @@ INSERT INTO orders VALUES (1, 1, 'open');
 UPDATE users SET balance = 0 WHERE id = 3;
 )sql";
 
-/// The pre-session batch pipeline, verbatim — the reference every
+/// The pre-session batch pipeline over an identity-grouped build (every
+/// statement analyzed and rule-checked on its own) — the reference every
 /// incremental feeding order is compared against.
 Report ReferencePipeline(const std::vector<std::string>& statements,
                          const SqlCheckOptions& options, const Database* db = nullptr) {
   ContextBuilder builder;
   for (const auto& s : statements) builder.AddQuery(s);
   if (db != nullptr) builder.AttachDatabase(db, options.data_analyzer);
-  Context context = builder.Build(1, nullptr, options.dedup_queries);
+  Context context = builder.Build(1, nullptr, /*dedup_queries=*/false);
 
   RuleRegistry registry = RuleRegistry::Default();
   EXPECT_TRUE(registry.Disable(options.disabled_rules).ok());
@@ -141,13 +142,46 @@ TEST(SessionTest, SnapshotIsIdempotentAndAppendable) {
 }
 
 TEST(SessionTest, MatchesBatchWithDedupOff) {
-  SqlCheckOptions options;
-  options.dedup_queries = false;
-  AnalysisSession session(options);
+  // The session always groups; the reference is identity-grouped.
+  AnalysisSession session;
   std::vector<std::string> statements = ScriptStatements();
   for (const auto& stmt : statements) session.AddQuery(stmt);
+  EXPECT_GT(statements.size(), session.unique_count());
   EXPECT_EQ(Serialize(session.Snapshot()),
-            Serialize(ReferencePipeline(statements, options)));
+            Serialize(ReferencePipeline(statements, SqlCheckOptions{})));
+}
+
+TEST(SessionTest, VerbatimRepeatsAfterArenaGrowthHitTheMemo) {
+  // The raw memo keys are views into arena-owned statement text. Grow the
+  // arena by several chunks of fresh statements, then re-send the first
+  // chunk verbatim: every repeat must hit the memo (no new group), and the
+  // report must still match the identity-grouped batch build.
+  std::vector<std::string> statements = ScriptStatements();
+  AnalysisSession session;
+  std::string first_chunk;
+  for (const auto& stmt : statements) first_chunk += stmt + "\n;\n";
+  session.AddScript(first_chunk);
+  std::vector<std::string> fed = statements;
+  for (int chunk = 0; chunk < 8; ++chunk) {
+    std::string script;
+    for (int k = 0; k < 200; ++k) {
+      std::string stmt = "SELECT c" + std::to_string(k) + ", '" +
+                         std::string(64, static_cast<char>('a' + chunk)) +
+                         "' FROM growth_" + std::to_string(chunk) + " WHERE id = " +
+                         std::to_string(k);
+      script += stmt + ";\n";
+      fed.push_back(std::move(stmt));
+    }
+    session.AddScript(script);
+  }
+  const size_t before = session.unique_count();
+  ASSERT_GT(session.Usage().arena_reserved_bytes, size_t{1} << 17);
+  session.AddScript(first_chunk);
+  fed.insert(fed.end(), statements.begin(), statements.end());
+  EXPECT_EQ(session.unique_count(), before);
+  EXPECT_EQ(session.statement_count(), fed.size());
+  EXPECT_EQ(Serialize(session.Snapshot()),
+            Serialize(ReferencePipeline(fed, SqlCheckOptions{})));
 }
 
 TEST(SessionTest, MatchesBatchAtEveryParallelism) {

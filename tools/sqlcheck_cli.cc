@@ -484,17 +484,21 @@ void PrintDeltaText(const Report& report, size_t statement_index, bool color) {
 /// compact object per statement).
 void PrintDeltaJson(const Report& report, size_t statement_index,
                     std::string_view sql) {
-  std::cout << "{\"statement\": " << statement_index << ", \"sql\": \""
-            << JsonEscape(sql) << "\", \"findings\": [";
+  std::string line;
+  JsonWriter out(&line);
+  out << "{\"statement\": " << static_cast<uint64_t>(statement_index) << ", \"sql\": ";
+  out.String(sql) << ", \"findings\": [";
   for (size_t i = 0; i < report.findings.size(); ++i) {
     const Finding& f = report.findings[i];
     const Detection& d = f.ranked.detection;
-    std::cout << (i == 0 ? "" : ", ") << "{\"rule\": \"" << JsonEscape(ApName(d.type))
-              << "\", \"score\": " << f.ranked.score << ", \"table\": \""
-              << JsonEscape(d.table) << "\", \"column\": \"" << JsonEscape(d.column)
-              << "\", \"message\": \"" << JsonEscape(d.message) << "\"}";
+    out << (i == 0 ? "" : ", ") << "{\"rule\": ";
+    out.String(ApName(d.type)) << ", \"score\": " << f.ranked.score << ", \"table\": ";
+    out.String(d.table) << ", \"column\": ";
+    out.String(d.column) << ", \"message\": ";
+    out.String(d.message) << "}";
   }
-  std::cout << "]}" << std::endl;  // flush per statement: monitors tail this
+  out << "]}";
+  std::cout << line << std::endl;  // flush per statement: monitors tail this
 }
 
 /// --follow loop: accumulate lines, peel off completed statements, and
@@ -524,9 +528,8 @@ size_t FollowStream(std::istream& in, AnalysisSession* session, const CliOptions
       }
     }
     // Keep the unterminated fragment (newline restored so a trailing `--`
-    // comment cannot swallow the next line).
-    // Keep the unterminated fragment. The pieces are views into `buffer`,
-    // so materialize the tail before overwriting it.
+    // comment cannot swallow the next line). The pieces are views into
+    // `buffer`, so materialize the tail before overwriting it.
     std::string remainder =
         complete < pieces.size() ? std::string(pieces.back()) + "\n" : std::string();
     buffer = std::move(remainder);
