@@ -1,10 +1,11 @@
 // Frontend throughput: lex MB/s, lex+parse MB/s, and end-to-end batch
 // `SqlCheck::Run()` statements/sec over the table-3 synthetic corpus (the
-// same generator the detection-quality benches use). Writes the measurements
-// to BENCH_frontend.json next to the committed pre-refactor baseline, and
-// always cross-checks the report detection digest against the recorded
-// baseline digest — a digest mismatch means the frontend rewrite changed
-// analysis results and the bench exits nonzero no matter the flags.
+// same generator the detection-quality benches use). With `--out <path>` it
+// writes the measurements as JSON next to the committed pre-refactor
+// baseline; without it, it writes no file. It always cross-checks the report
+// detection digest against the recorded baseline digest — a digest mismatch
+// means the frontend rewrite changed analysis results and the bench exits
+// nonzero no matter the flags.
 //
 // The lex stage is measured on both the block-scan fast tier and the
 // forced-scalar reference (their token streams are asserted identical by
@@ -18,8 +19,9 @@
 // the fast lex tier must clear 1.25x the same-run scalar tier. The
 // cross-host ratios against the recorded baseline and the
 // PR-7-era lexer are still measured and written to the JSON as informational
-// fields. A failed run refuses to write BENCH_frontend.json at all, so a red
-// bench can never leave behind an artifact that looks like a measurement.
+// fields. A failed run refuses to write the artifact at all (and removes a
+// stale one at the `--out` path), so a red bench can never leave behind an
+// artifact that looks like a measurement.
 //
 // The baseline block below was measured on this container immediately
 // before the arena/interner refactor (PR 4), with the same corpus seed and
@@ -29,6 +31,7 @@
 // identity check — which is hardware-independent — runs everywhere.
 //
 //   $ ./bench_frontend_throughput [repo_count] [--gate] [--record-baseline]
+//         [--out BENCH_frontend.json]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -234,10 +237,12 @@ Measurement Measure(const std::vector<std::string>& statements) {
   return m;
 }
 
-void WriteJson(const Measurement& m, int repo_count, bool gated, bool passed) {
-  FILE* f = std::fopen("BENCH_frontend.json", "w");
+void WriteJson(const char* path, const Measurement& m, int repo_count, bool gated,
+               bool passed) {
+  if (path == nullptr) return;
+  FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "FAIL: cannot write BENCH_frontend.json\n");
+    std::fprintf(stderr, "FAIL: cannot write %s\n", path);
     std::exit(1);
   }
   std::fprintf(f,
@@ -282,16 +287,20 @@ int main(int argc, char** argv) {
   int repo_count = kBaselineRepoCount;
   bool gate = false;
   bool record = false;
+  const char* out_path = nullptr;  // no artifact unless --out names one
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--gate") == 0) {
       gate = true;
     } else if (std::strcmp(argv[i], "--record-baseline") == 0) {
       record = true;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      out_path = argv[++i];
     } else {
       repo_count = std::atoi(argv[i]);
       if (repo_count <= 0) {
         std::fprintf(stderr,
-                     "usage: %s [repo_count] [--gate] [--record-baseline]\n",
+                     "usage: %s [repo_count] [--gate] [--record-baseline] "
+                     "[--out <path>]\n",
                      argv[0]);
         return 2;
       }
@@ -344,7 +353,7 @@ int main(int argc, char** argv) {
         "constexpr uint64_t kBaselineDigest = %lluull;\n",
         repo_count, m.lex_mbs, m.lex_parse_mbs, m.run_stmts_per_sec,
         static_cast<unsigned long long>(m.digest));
-    WriteJson(m, repo_count, false, false);
+    WriteJson(out_path, m, repo_count, false, false);
     return 0;
   }
 
@@ -375,10 +384,12 @@ int main(int argc, char** argv) {
 
   if (!ok || !gate_passed) {
     // A red run must not leave a plausible-looking artifact behind.
-    std::remove("BENCH_frontend.json");
-    std::fprintf(stderr, "refusing to write BENCH_frontend.json: checks failed\n");
+    if (out_path != nullptr) {
+      std::remove(out_path);
+      std::fprintf(stderr, "refusing to write %s: checks failed\n", out_path);
+    }
     return 1;
   }
-  WriteJson(m, repo_count, gate, true);
+  WriteJson(out_path, m, repo_count, gate, true);
   return 0;
 }

@@ -4,7 +4,15 @@
 // the corpus generator's seeded labels (the substitute for the paper's
 // manual analysis). Headline to reproduce: sqlcheck has substantially fewer
 // false positives (paper: 48%) and fewer false negatives (20%) than dbdeo.
+//
+// --gate turns the headline into an exit status: summed over the six types,
+// sqlcheck must have at most 0.52x dbdeo's false positives and at most 0.80x
+// its false negatives, or the bench exits 1. The corpus is seeded and no
+// time is measured, so the gate holds on any host and build type.
+//
+//   $ ./bench_table2_detection [--gate]
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -20,6 +28,9 @@ using workload::CorpusOptions;
 using workload::DetectionScore;
 
 namespace {
+
+constexpr double kMaxFpRatio = 0.52;  ///< sqlcheck FP / dbdeo FP, summed.
+constexpr double kMaxFnRatio = 0.80;  ///< sqlcheck FN / dbdeo FN, summed.
 
 const std::vector<AntiPattern>& Table2Types() {
   static const std::vector<AntiPattern>* kTypes = new std::vector<AntiPattern>{
@@ -41,7 +52,17 @@ std::set<std::pair<std::string, int>> PairSet(const std::vector<Detection>& dete
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool gate = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--gate") == 0) {
+      gate = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--gate]\n", argv[0]);
+      return 2;
+    }
+  }
+
   CorpusOptions options;
   options.repo_count = 300;
   Corpus corpus = GenerateCorpus(options);
@@ -128,5 +149,17 @@ int main() {
   std::printf("sqlcheck precision %.2f recall %.2f | dbdeo precision %.2f recall %.2f\n",
               total_sq.Precision(), total_sq.Recall(), total_db.Precision(),
               total_db.Recall());
+
+  if (gate) {
+    // The paper's claims as bounds: 48% fewer false positives, 20% fewer
+    // false negatives.
+    const bool fp_ok = total_sq.false_positives <= kMaxFpRatio * total_db.false_positives;
+    const bool fn_ok = total_sq.false_negatives <= kMaxFnRatio * total_db.false_negatives;
+    std::printf("gate: FP %d <= %.2f x %d %s, FN %d <= %.2f x %d %s\n",
+                total_sq.false_positives, kMaxFpRatio, total_db.false_positives,
+                fp_ok ? "ok" : "FAIL", total_sq.false_negatives, kMaxFnRatio,
+                total_db.false_negatives, fn_ok ? "ok" : "FAIL");
+    if (!fp_ok || !fn_ok) return 1;
+  }
   return 0;
 }

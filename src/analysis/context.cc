@@ -81,7 +81,8 @@ Context ContextBuilder::Build(int parallelism, ThreadPool* pool, bool dedup_quer
     context.catalog_ = database_->BuildCatalog();
     context.data_ = AnalyzeDatabase(*database_, data_options_);
   }
-  context.Append(std::exchange(statements_, {}), parallelism, pool, dedup_queries);
+  context.Append(std::exchange(statements_, {}), parallelism, pool, dedup_queries,
+                 buffer_);
   return context;
 }
 
@@ -99,7 +100,8 @@ void GrowFor(Vec& v, size_t extra) {
 
 }  // namespace
 
-size_t Context::MemoGroup(std::string_view raw, uint64_t* fingerprint) {
+size_t Context::MemoGroup(std::string_view raw, sql::TokenBuffer& buffer,
+                          uint64_t* fingerprint) {
   const QueryGroups& groups = query_groups_;
   auto raw_it = raw_groups_.find(raw);
   if (raw_it != raw_groups_.end()) {
@@ -107,14 +109,16 @@ size_t Context::MemoGroup(std::string_view raw, uint64_t* fingerprint) {
     return raw_it->second;
   }
   if (SQLCHECK_SCOPED_FAILPOINT("memo_insert")) throw std::bad_alloc();
-  const std::string canonical = sql::CanonicalizeSql(raw, sql::FingerprintOptions::Exact());
+  const std::string canonical =
+      sql::CanonicalizeSql(raw, sql::FingerprintOptions::Exact(), &buffer);
   *fingerprint = sql::FingerprintCanonical(canonical);
   const size_t fresh = groups.unique.size();
   size_t g = fresh;
   auto [lo, hi] = fingerprint_groups_.equal_range(*fingerprint);
   for (auto it = lo; it != hi && g == fresh; ++it) {
     const std::string_view rep_raw(statements_[groups.unique[it->second]]->raw_sql);
-    if (sql::CanonicalizeSql(rep_raw, sql::FingerprintOptions::Exact()) == canonical) {
+    if (sql::CanonicalizeSql(rep_raw, sql::FingerprintOptions::Exact(), &buffer) ==
+        canonical) {
       g = it->second;
     }
   }
@@ -130,7 +134,7 @@ size_t Context::MemoGroup(std::string_view raw, uint64_t* fingerprint) {
 }
 
 IngestResult Context::Append(std::vector<sql::StatementPtr> stmts, int parallelism,
-                             ThreadPool* pool, bool memo) {
+                             ThreadPool* pool, bool memo, sql::TokenBuffer& buffer) {
   IngestResult result;
   if (stmts.empty()) return result;
   const size_t first = statements_.size();
@@ -164,7 +168,7 @@ IngestResult Context::Append(std::vector<sql::StatementPtr> stmts, int paralleli
       for (int attempt = 0; attempt < kFaultRetryAttempts && !memo_ok; ++attempt) {
         try {
           FailpointScope fault_scope;  // memo allocations are a chaos seam
-          g = MemoGroup(raw, &fingerprint);
+          g = MemoGroup(raw, buffer, &fingerprint);
           memo_ok = true;
           if (attempt > 0) ++result.faults_recovered;
         } catch (const std::exception& e) {

@@ -142,8 +142,10 @@ class Context {
   /// with rollback). A statement whose memo step keeps failing is dropped
   /// with no DDL effect and no memo entry; one whose analysis keeps failing
   /// keeps empty facts. Both are reported in the result.
+  /// `buffer` is the caller's parse buffer, reused to lex each canonical
+  /// form (its tokens are overwritten).
   IngestResult Append(std::vector<sql::StatementPtr> stmts, int parallelism,
-                      ThreadPool* pool, bool memo);
+                      ThreadPool* pool, bool memo, sql::TokenBuffer& buffer);
 
   /// The memo step of Append: the group of the statement spelled `raw`
   /// (whose fingerprint lands in `*fingerprint`), recording a new spelling
@@ -151,7 +153,7 @@ class Context {
   /// query_groups().unique.size(). May throw (allocation, or the
   /// memo_insert failpoint on a raw-memo miss); it then leaves the memo as
   /// it found it.
-  size_t MemoGroup(std::string_view raw, uint64_t* fingerprint);
+  size_t MemoGroup(std::string_view raw, sql::TokenBuffer& buffer, uint64_t* fingerprint);
 
   /// The group of the first statement spelled `raw_sql`, or nullptr when
   /// no statement with that raw text has been grouped.

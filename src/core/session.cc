@@ -302,8 +302,8 @@ size_t AnalysisSession::IngestChunk(std::vector<sql::StatementPtr> stmts) {
   const int threads = ThreadPool::ResolveParallelism(options_.parallelism);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1 && stmts.size() > 1) pool = std::make_unique<ThreadPool>(threads);
-  IngestResult result =
-      context_.Append(std::move(stmts), threads, pool.get(), /*memo=*/true);
+  IngestResult result = context_.Append(std::move(stmts), threads, pool.get(),
+                                        /*memo=*/true, token_buffer_);
   faults_recovered_.fetch_add(result.faults_recovered, std::memory_order_relaxed);
 
   // One cache row per group, filled by EnsureCacheRow. A group whose

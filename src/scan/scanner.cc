@@ -257,7 +257,7 @@ void HandleStatement(std::string_view raw, const ScanFile& file, Worker& w,
                      const RankingModel& model, const DetectorConfig& config,
                      FileDraft* draft) {
   std::string canonical;
-  sql::ScanFingerprints fp = sql::FingerprintForScan(raw, &canonical);
+  sql::ScanFingerprints fp = sql::FingerprintForScan(raw, &canonical, &w.buffer);
   if (canonical.empty()) return;  // Comment-only / whitespace-only fragment.
 
   ShardAgg& agg = w.agg;

@@ -11,9 +11,9 @@
 // Block scanner: finds span boundaries (identifier runs, whitespace runs,
 // digit runs, the next string-special or comment-special byte) in 8/16-byte
 // blocks instead of byte-at-a-time. This is the structural-scan stage of the
-// frontend: the lexer, the statement splitter (which rides the lexer), and
-// the streaming canonicalizer in fingerprint.cc all consume raw SQL through
-// these functions, so they classify bytes identically by construction.
+// frontend: the lexer consumes raw SQL through these functions, and the
+// statement splitter and the canonical forms in fingerprint.cc ride the
+// lexer's tokens, so they all classify bytes identically by construction.
 //
 // Three tiers, selected per call:
 //  - scalar: the reference implementation, a byte loop over the
@@ -396,7 +396,7 @@ inline size_t FindEither(std::string_view s, size_t pos, char a, char b) {
 #define SQLCHECK_BLOCK_SCAN_SIMD (SQLCHECK_BLOCK_SCAN_SSE2 || SQLCHECK_BLOCK_SCAN_NEON)
 
 // ---------------------------------------------------------------------------
-// Dispatchers — what the lexer / canonicalizer call.
+// Dispatchers — what the lexer calls.
 // ---------------------------------------------------------------------------
 
 namespace detail {

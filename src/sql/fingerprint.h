@@ -9,9 +9,11 @@
 
 namespace sqlcheck::sql {
 
+class TokenBuffer;
+
 /// \brief Controls how much of a statement the canonical form erases.
 ///
-/// Two presets matter in practice:
+/// Two presets, one per value of `collapse_values`:
 ///  - Template() (the default): keyword case, whitespace, and comments are
 ///    dropped AND every literal/bind-parameter collapses to a `?` placeholder.
 ///    Statements that differ only in constants share a fingerprint — the
@@ -24,26 +26,27 @@ namespace sqlcheck::sql {
 ///    statements must agree on it before their analysis results can be
 ///    shared byte-for-byte.
 struct FingerprintOptions {
-  bool collapse_literals = true;  ///< Strings/numbers -> `?` placeholder.
-  bool collapse_params = true;    ///< `?`, `%s`, `:name`, `$1` -> `?` placeholder.
+  bool collapse_values = true;  ///< Literals and bind parameters -> `?` placeholder.
 
   static FingerprintOptions Template() { return FingerprintOptions{}; }
-  static FingerprintOptions Exact() { return FingerprintOptions{false, false}; }
+  static FingerprintOptions Exact() { return FingerprintOptions{false}; }
 };
 
 /// \brief Renders a token stream into its canonical spelling: tokens joined
 /// by single spaces, keywords lowercased, identifiers/literals re-quoted with
 /// doubled-quote escaping (so the rendering is injective — two different
 /// token streams never produce the same canonical string), comments and the
-/// end sentinel skipped, literals/params replaced by `?` per `options`.
+/// end sentinel skipped, literals/params replaced by `?` per `options`. The
+/// only canonicalizer: every other entry point below lexes and calls this.
 std::string CanonicalizeTokens(const std::vector<Token>& tokens,
                                const FingerprintOptions& options = {});
 
-/// \brief Canonicalizes `sql` directly — a single allocation-free scanning
-/// pass that produces exactly `CanonicalizeTokens(Lex(sql), options)`. The
-/// dedup cache canonicalizes every statement in a workload, so this is the
-/// hot path; the token-based form above is the reference implementation.
-std::string CanonicalizeSql(std::string_view sql, const FingerprintOptions& options = {});
+/// \brief `CanonicalizeTokens(Lex(sql), options)`. Pass a reused `buffer`
+/// (as with ParseStatement) to keep the lex allocation-free across calls;
+/// it is cleared and refilled, invalidating its earlier tokens. Without
+/// one, a local buffer is used.
+std::string CanonicalizeSql(std::string_view sql, const FingerprintOptions& options = {},
+                            TokenBuffer* buffer = nullptr);
 
 /// \brief 64-bit FNV-1a hash of a canonical form — the stable statement
 /// fingerprint. Equal canonical strings always hash equal; the dedup cache
@@ -51,27 +54,20 @@ std::string CanonicalizeSql(std::string_view sql, const FingerprintOptions& opti
 /// merge two distinct statements.
 uint64_t FingerprintCanonical(std::string_view canonical);
 
-/// \brief Fingerprint of a token stream under `options`.
-uint64_t FingerprintTokens(const std::vector<Token>& tokens,
-                           const FingerprintOptions& options = {});
-
 /// \brief Fingerprint of a SQL statement under `options`.
 uint64_t FingerprintSql(std::string_view sql, const FingerprintOptions& options = {});
 
-/// \brief Both fingerprints the corpus scanner keys on, from one raw pass.
+/// \brief Both fingerprints the corpus scanner keys on, from one lex.
 struct ScanFingerprints {
   uint64_t exact = 0;     ///< FingerprintSql(sql, Exact()) — the store key.
   uint64_t tmpl = 0;      ///< FingerprintSql(sql, Template()) — statistics.
 };
 
-/// \brief Computes the exact-canonical form (returned via `exact_canonical`)
-/// and both fingerprints with a single canonicalization of the raw text: the
-/// template fingerprint is derived by re-canonicalizing the exact form, which
-/// is comment- and whitespace-free and therefore cheaper to walk than the
-/// original. Correct because canonicalization is stable on its own output —
-/// re-lexing an Exact() rendering yields the same token stream, so
-/// Template(Exact(sql)) == Template(sql) (locked in by
-/// ScanFingerprintsTest.TemplateOfExactMatchesTemplateOfRaw).
-ScanFingerprints FingerprintForScan(std::string_view sql, std::string* exact_canonical);
+/// \brief Lexes `sql` once (into `buffer` when given, as CanonicalizeSql)
+/// and renders both canonical forms from the same tokens: the exact form is
+/// returned via `exact_canonical`, and each form's fingerprint lands in the
+/// result.
+ScanFingerprints FingerprintForScan(std::string_view sql, std::string* exact_canonical,
+                                    TokenBuffer* buffer = nullptr);
 
 }  // namespace sqlcheck::sql

@@ -301,10 +301,11 @@ TEST_F(ScanTest, LongEscapedRepoNameRoundTripsThroughJson) {
 }
 
 TEST(ScanFingerprintsTest, TemplateOfExactMatchesTemplateOfRaw) {
-  // FingerprintForScan derives the template fingerprint by re-canonicalizing
-  // the exact form instead of the raw text. That is only sound if
-  // canonicalization is stable on its own output — locked in here across
-  // comment, case, whitespace, and literal shapes.
+  // FingerprintForScan renders both forms from one lex of the raw text. Its
+  // fingerprints must equal the standalone ones, and canonicalization must
+  // be stable on its own output (re-canonicalizing the exact form changes
+  // neither form) — locked in here across comment, case, whitespace, and
+  // literal shapes.
   const char* statements[] = {
       "SELECT * FROM users WHERE id = 42",
       "select   name ,  id from USERS where ID=7 -- trailing comment",
