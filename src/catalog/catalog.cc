@@ -1,6 +1,8 @@
 #include "catalog/catalog.h"
 
+#include <algorithm>
 #include <cctype>
+#include <utility>
 
 #include "common/strings.h"
 #include "sql/printer.h"
@@ -271,18 +273,30 @@ const IndexSchema* Catalog::FindIndex(std::string_view name) const {
   return it == indexes_.end() ? nullptr : &it->second;
 }
 
-std::vector<const TableSchema*> Catalog::Tables() const {
-  std::vector<const TableSchema*> out;
-  out.reserve(tables_.size());
-  for (const auto& [_, schema] : tables_) out.push_back(&schema);
+namespace {
+
+/// A hashed name map's values in lowercased-key order.
+template <class V, class Map>
+std::vector<const V*> SortedByKey(const Map& map) {
+  std::vector<std::pair<std::string_view, const V*>> keyed;
+  keyed.reserve(map.size());
+  for (const auto& [key, value] : map) keyed.emplace_back(key, &value);
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<const V*> out;
+  out.reserve(keyed.size());
+  for (const auto& [_, value] : keyed) out.push_back(value);
   return out;
 }
 
+}  // namespace
+
+std::vector<const TableSchema*> Catalog::Tables() const {
+  return SortedByKey<TableSchema>(tables_);
+}
+
 std::vector<const IndexSchema*> Catalog::Indexes() const {
-  std::vector<const IndexSchema*> out;
-  out.reserve(indexes_.size());
-  for (const auto& [_, index] : indexes_) out.push_back(&index);
-  return out;
+  return SortedByKey<IndexSchema>(indexes_);
 }
 
 std::vector<const IndexSchema*> Catalog::IndexesOnTable(std::string_view table) const {

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -17,7 +19,8 @@ namespace sqlcheck {
 /// live Database (§4.2).
 ///
 /// Ordering contract: every enumeration yields lowercased-name order.
-/// Tables() and Indexes() order by lowercased table/index name;
+/// Tables() and Indexes() order by lowercased table/index name (they sort on
+/// demand: name lookups are hashed, and only tests enumerate everything);
 /// IndexesOnTable() orders a table's indexes by lowercased index name, and
 /// TablesWithStem() orders a stem's tables by lowercased table name. Index
 /// Overuse reports the first prefix match in IndexesOnTable() order and
@@ -64,10 +67,13 @@ class Catalog {
 
  private:
   // Keyed by lowercased name; values keep original casing. Probes stack-
-  // lower the caller's name (LowerProbe) and descend with plain byte
-  // compares — no ToLower temporary, no per-character case folding.
-  std::map<std::string, TableSchema, std::less<>> tables_;
-  std::map<std::string, IndexSchema, std::less<>> indexes_;
+  // lower the caller's name (LowerProbe) and hash the view — no ToLower
+  // temporary, no per-character case folding. Node-based, so the schema
+  // pointers the lookups hand out survive later inserts.
+  template <class V>
+  using NameMap = std::unordered_map<std::string, V, StringViewHash, std::equal_to<>>;
+  NameMap<TableSchema> tables_;
+  NameMap<IndexSchema> indexes_;
 
   using KeySet = std::set<std::string, std::less<>>;
   // Lowercased table name -> keys into indexes_ of the indexes on it.

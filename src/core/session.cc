@@ -383,13 +383,13 @@ Report AnalysisSession::Check(std::string_view sql) {
     size_t rep = groups.representative[i];
     std::vector<Detection> buffer;
     AssembleGroupDetections(groups.group[i], &buffer);
-    if (rep == i) {
-      for (auto& d : buffer) detections.push_back(std::move(d));
-      continue;
-    }
     for (auto& d : buffer) {
-      detections.push_back(RebaseDetection(std::move(d), context_.query_facts_[rep],
-                                           context_.query_facts_[i]));
+      if (rep != i) {
+        d = RebaseDetection(std::move(d), context_.query_facts_[rep],
+                            context_.query_facts_[i]);
+      }
+      d.statement = i;
+      detections.push_back(std::move(d));
     }
   }
   return MakeReport(std::move(detections));
@@ -448,9 +448,18 @@ Fix AnalysisSession::FixForDetection(const Detection& d, const FixEngine& engine
                    rule != nullptr &&
                    rule->query_scope() == QueryRuleScope::kStatementLocal;
   if (!cacheable) return engine.SuggestFix(d, context_);
-  const size_t* group = context_.FindRawGroup(d.query);
-  if (group == nullptr) return engine.SuggestFix(d, context_);
-  const size_t u = *group;
+  // The fan-out stamped the statement index: its group is one array read.
+  // A detection whose query is not the text of the statement it is stamped
+  // with takes the text lookup.
+  const std::vector<QueryFacts>& queries = context_.queries();
+  size_t u;
+  if (d.statement < queries.size() && queries[d.statement].raw_sql == d.query) {
+    u = context_.query_groups_.group[d.statement];
+  } else {
+    const size_t* group = context_.FindRawGroup(d.query);
+    if (group == nullptr) return engine.SuggestFix(d, context_);
+    u = *group;
+  }
   for (const CachedFix& cached : fix_cache_[u]) {
     if (cached.type == d.type && cached.table == d.table &&
         cached.column == d.column) {
@@ -461,7 +470,9 @@ Fix AnalysisSession::FixForDetection(const Detection& d, const FixEngine& engine
     }
   }
   ++fix_cache_misses_;
-  Fix fix = engine.SuggestFix(d, context_);
+  // The cache row is this proposal's memo: a verdict memo entry for it
+  // would never be read.
+  Fix fix = engine.SuggestFix(d, context_, /*memoize_verdict=*/false);
   fix_cache_[u].push_back({d.type, d.table, d.column, fix});
   return fix;
 }

@@ -295,7 +295,9 @@ class AnalysisSession {
   /// anchor rebased onto the occurrence's raw text — exactly the detection
   /// cache's contract. Everything else (catalog-driven expansions,
   /// profile-driven DDL) re-evaluates against the current context, which is
-  /// what keeps replayed fixes valid as the workload grows.
+  /// what keeps replayed fixes valid as the workload grows. The group comes
+  /// from Detection::statement when `d.query` is that statement's text, and
+  /// from a lookup of the text otherwise.
   Fix FixForDetection(const Detection& d, const FixEngine& engine);
 
   SqlCheckOptions options_;
@@ -324,11 +326,13 @@ class AnalysisSession {
   size_t fix_cache_hits_ = 0;
   size_t fix_cache_misses_ = 0;
 
-  /// Verification verdicts memoized across snapshots: each MakeReport builds
-  /// a fresh FixEngine, but the engine writes its verdicts here, so a unique
-  /// proposal pays the (Tier-3-expensive) pipeline once per session, not
-  /// once per Snapshot(). Sound because verdicts are deterministic in the
-  /// proposal + options, both session-constant. Tier-2 verdicts over
+  /// Verification verdicts of workload-scope proposals, memoized across
+  /// snapshots: each MakeReport builds a fresh FixEngine, but the engine
+  /// writes its verdicts here, so a unique proposal pays the
+  /// (Tier-3-expensive) pipeline once per session, not once per Snapshot().
+  /// Statement-local proposals bypass it: fix_cache_ already replays their
+  /// whole fix. Sound because verdicts are deterministic in the proposal +
+  /// options, both session-constant. Tier-2 verdicts over
   /// *workload-sensitive* rules could in principle flip as the catalog
   /// grows; the memo key includes the original statement and the rewritten
   /// spelling, and catalog growth changes the rewritten spelling (expansions

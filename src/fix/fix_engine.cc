@@ -51,7 +51,8 @@ VerifyVerdict FixEngine::VerifyTiered(const Fix& fix, const Fixer* fixer,
   // the rule is unavailable (custom fixer without a detection half) the
   // check stops at the parse tier.
   const Rule* rule = registry_->FindRule(fix.type);
-  RewriteCheck check = VerifyRewrite(fix, rule, context, config_);
+  RewriteCheck check =
+      VerifyRewrite(fix, rule, context, config_, &scratch_, &scratch_tokens_);
   if (!check.ok) {
     verdict.ok = false;
     verdict.tier = VerifyTier::kNone;
@@ -97,7 +98,33 @@ VerifyVerdict FixEngine::VerifyTiered(const Fix& fix, const Fixer* fixer,
   return verdict;
 }
 
-Fix FixEngine::SuggestFix(const Detection& d, const Context& context) const {
+VerifyVerdict FixEngine::MemoizedVerdict(const Fix& fix, const Fixer* fixer,
+                                         const Context& context) const {
+  // Tier 3 executes the original too, so the memo key must cover it:
+  // distinct originals can share a rewritten spelling yet behave
+  // differently on the ephemeral database.
+  std::string memo_key;
+  memo_key.reserve(96);
+  memo_key += std::to_string(static_cast<int>(fix.type));
+  memo_key += '\x1f';
+  memo_key += fix.original_sql;
+  for (const std::string& stmt : fix.statements) {
+    memo_key += '\x1f';
+    memo_key += stmt;
+  }
+  VerifyMemo& memo = memo_ != nullptr ? *memo_ : own_memo_;
+  auto [it, inserted] = memo.try_emplace(std::move(memo_key));
+  if (inserted) {
+    if (stats_ != nullptr) ++stats_->memo_misses;
+    it->second = VerifyTiered(fix, fixer, context);
+  } else if (stats_ != nullptr) {
+    ++stats_->memo_hits;
+  }
+  return it->second;
+}
+
+Fix FixEngine::SuggestFix(const Detection& d, const Context& context,
+                          bool memoize_verdict) const {
   Fix fix;
   const Fixer* fixer = registry_->FindFixer(d.type);
   if (fixer == nullptr) {
@@ -112,27 +139,15 @@ Fix FixEngine::SuggestFix(const Detection& d, const Context& context) const {
   AnchorProvenance(&fix, d, context);
 
   if (fix.kind == FixKind::kRewrite) {
-    // Tier 3 executes the original too, so the memo key must cover it:
-    // distinct originals can share a rewritten spelling yet behave
-    // differently on the ephemeral database.
-    std::string memo_key;
-    memo_key.reserve(96);
-    memo_key += std::to_string(static_cast<int>(fix.type));
-    memo_key += '\x1f';
-    memo_key += fix.original_sql;
-    for (const std::string& stmt : fix.statements) {
-      memo_key += '\x1f';
-      memo_key += stmt;
-    }
-    VerifyMemo& memo = memo_ != nullptr ? *memo_ : own_memo_;
-    auto [it, inserted] = memo.try_emplace(std::move(memo_key));
-    if (inserted) {
+    VerifyVerdict verdict;
+    if (memoize_verdict) {
+      verdict = MemoizedVerdict(fix, fixer, context);
+    } else {
+      // Verdicts are deterministic in the proposal and the options, so a
+      // direct verification answers what a memo hit would have.
       if (stats_ != nullptr) ++stats_->memo_misses;
-      it->second = VerifyTiered(fix, fixer, context);
-    } else if (stats_ != nullptr) {
-      ++stats_->memo_hits;
+      verdict = VerifyTiered(fix, fixer, context);
     }
-    const VerifyVerdict& verdict = it->second;
     if (verdict.ok) {
       fix.verified = true;
       fix.verify_tier = verdict.tier;
@@ -142,7 +157,7 @@ Fix FixEngine::SuggestFix(const Detection& d, const Context& context) const {
       fix.kind = FixKind::kTextual;
       fix.verified = false;
       fix.verify_tier = VerifyTier::kNone;
-      fix.verify_note = verdict.note;
+      fix.verify_note = std::move(verdict.note);
     }
     if (stats_ != nullptr) {
       switch (fix.verify_tier) {

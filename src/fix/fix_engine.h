@@ -28,6 +28,11 @@ namespace sqlcheck {
 ///      declared equivalence contract. A proposal that fails any required
 ///      tier is demoted to kTextual with the reason in Fix::verify_note; the
 ///      tier it reached is recorded in Fix::verify_tier.
+///
+/// An engine is scoped to one report assembly and is single-threaded: Tier 1
+/// and 2 re-parse every rewritten statement into one scratch arena and
+/// token buffer the engine owns and reuses, so even its const methods must
+/// not run concurrently on one engine.
 class FixEngine {
  public:
   /// `registry` supplies both halves (rules for verification, fixers for
@@ -42,8 +47,13 @@ class FixEngine {
                      ExecVerifyOptions exec_options = {},
                      VerifyMemo* memo = nullptr, VerifyStats* stats = nullptr);
 
-  /// Suggests a (verified) fix for one detection.
-  Fix SuggestFix(const Detection& detection, const Context& context) const;
+  /// Suggests a (verified) fix for one detection. With `memoize_verdict`
+  /// off, a rewrite proposal is verified directly and its verdict is not
+  /// stored: for callers that cache the whole fix themselves (the session's
+  /// per-group fix cache), a memo entry would never be read. Either way it
+  /// counts as a memo miss in VerifyStats.
+  Fix SuggestFix(const Detection& detection, const Context& context,
+                 bool memoize_verdict = true) const;
 
   /// Suggests fixes for a ranked batch, in order.
   std::vector<Fix> SuggestFixes(const std::vector<Detection>& detections,
@@ -56,6 +66,11 @@ class FixEngine {
   VerifyVerdict VerifyTiered(const Fix& fix, const Fixer* fixer,
                              const Context& context) const;
 
+  /// VerifyTiered through the verdict memo: one pipeline run per unique
+  /// (type, original, rewritten statements) proposal.
+  VerifyVerdict MemoizedVerdict(const Fix& fix, const Fixer* fixer,
+                                const Context& context) const;
+
   const RuleRegistry* registry_;
   DetectorConfig config_;
   ExecVerifyOptions exec_options_;
@@ -63,10 +78,14 @@ class FixEngine {
   /// proposal. Re-verifying an identical rewrite — workloads repeat the same
   /// offending shapes constantly — is pure waste, and Tier 3 makes a miss
   /// genuinely expensive (it builds and populates a database). Points at the
-  /// session's memo when provided, else at own_memo_.
+  /// session's memo when provided, else at own_memo_. SuggestFix calls with
+  /// memoize_verdict off neither read nor write it.
   VerifyMemo* memo_;
   mutable VerifyMemo own_memo_;
   VerifyStats* stats_;  ///< Null when the owner does not collect telemetry.
+  /// Tier 1/2 re-parse scratch, reset after every statement's check.
+  mutable Arena scratch_;
+  mutable sql::TokenBuffer scratch_tokens_;
 };
 
 /// \brief Applies every verified statement-replacing rewrite in `report` to

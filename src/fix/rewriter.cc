@@ -57,22 +57,39 @@ bool ReversibleTail(std::string_view pattern, std::string* reversed) {
   return true;
 }
 
+/// True when `e` is a leading-wildcard LIKE/ILIKE that ReverseLikes can
+/// rewrite: a column on the left, a reversible '%tail' literal on the right.
+/// Writes the reversed tail. The one predicate behind both the pre-scan and
+/// the rewrite, so the two cannot disagree.
+bool ReversibleLike(const sql::Expr& e, std::string* reversed) {
+  return e.kind == sql::ExprKind::kLike && e.children.size() >= 2 &&
+         (EqualsIgnoreCase(e.text, "LIKE") || EqualsIgnoreCase(e.text, "ILIKE")) &&
+         e.children[0]->kind == sql::ExprKind::kColumnRef &&
+         e.children[1]->kind == sql::ExprKind::kStringLiteral &&
+         ReversibleTail(e.children[1]->text, reversed);
+}
+
+/// True when ReverseLikes would transform at least one predicate under `e`.
+bool HasReversibleLike(const sql::Expr& e) {
+  std::string reversed;
+  if (ReversibleLike(e, &reversed)) return true;
+  for (const auto& child : e.children) {
+    if (HasReversibleLike(*child)) return true;
+  }
+  return false;
+}
+
 /// Reverses every qualifying leading-wildcard LIKE under `e`; returns how
 /// many predicates were transformed.
 int ReverseLikes(sql::Expr* e) {
   int count = 0;
-  if (e->kind == sql::ExprKind::kLike && e->children.size() >= 2 &&
-      (EqualsIgnoreCase(e->text, "LIKE") || EqualsIgnoreCase(e->text, "ILIKE")) &&
-      e->children[0]->kind == sql::ExprKind::kColumnRef &&
-      e->children[1]->kind == sql::ExprKind::kStringLiteral) {
-    std::string reversed;
-    if (ReversibleTail(e->children[1]->text, &reversed)) {
-      std::vector<sql::ExprPtr> args;
-      args.push_back(std::move(e->children[0]));
-      e->children[0] = sql::MakeFunction("REVERSE", std::move(args));
-      e->children[1]->text = reversed + "%";
-      ++count;
-    }
+  std::string reversed;
+  if (ReversibleLike(*e, &reversed)) {
+    std::vector<sql::ExprPtr> args;
+    args.push_back(std::move(e->children[0]));
+    e->children[0] = sql::MakeFunction("REVERSE", std::move(args));
+    e->children[1]->text = reversed + "%";
+    ++count;
   }
   for (auto& child : e->children) count += ReverseLikes(child.get());
   return count;
@@ -115,6 +132,9 @@ sql::StatementPtr ExpandWildcard(const sql::SelectStatement& select,
 
   auto cloned = select.CloneSelect();
   sql::AstVector<sql::SelectItem> items;
+  size_t columns = 0;
+  for (const ResolvedSource& src : sources) columns += src.schema->columns.size();
+  items.reserve(cloned->items.size() + columns);
   bool expanded = false;
   for (auto& item : cloned->items) {
     if (!item.expr || item.expr->kind != sql::ExprKind::kStar) {
@@ -132,10 +152,10 @@ sql::StatementPtr ExpandWildcard(const sql::SelectStatement& select,
       if (src.schema->columns.empty()) return nullptr;  // nothing to expand to
       for (const auto& col : src.schema->columns) {
         sql::SelectItem concrete;
-        std::vector<std::string> parts;
-        if (qualify) parts.emplace_back(src.qualifier);
-        parts.push_back(col.name);
-        concrete.expr = sql::MakeColumnRef(std::move(parts));
+        concrete.expr = sql::MakeExpr(sql::ExprKind::kColumnRef);
+        concrete.expr->name_parts.reserve(qualify ? 2 : 1);
+        if (qualify) concrete.expr->name_parts.emplace_back(src.qualifier);
+        concrete.expr->name_parts.emplace_back(col.name);
         items.push_back(std::move(concrete));
       }
     }
@@ -208,6 +228,12 @@ sql::StatementPtr ReplaceOrderByRand(const sql::SelectStatement& select,
 }
 
 sql::StatementPtr RewriteLeadingWildcards(const sql::SelectStatement& select) {
+  // Most Pattern Matching detections have nothing reversible (a wildcard
+  // mid-pattern, a non-column operand): find that out before cloning.
+  if (!(select.where && HasReversibleLike(*select.where)) &&
+      !(select.having && HasReversibleLike(*select.having))) {
+    return nullptr;
+  }
   auto cloned = select.CloneSelect();
   int count = 0;
   if (cloned->where) count += ReverseLikes(cloned->where.get());
@@ -238,12 +264,23 @@ sql::StatementPtr WrapConcatNulls(const sql::SelectStatement& select,
 }
 
 RewriteCheck VerifyRewrite(const Fix& fix, const Rule* rule, const Context& context,
-                           const DetectorConfig& config) {
+                           const DetectorConfig& config, Arena* scratch,
+                           sql::TokenBuffer* tokens) {
   if (fix.statements.empty()) {
     return {false, "rewrite proposal carries no statements"};
   }
   for (const std::string& text : fix.statements) {
-    sql::StatementPtr stmt = sql::ParseStatement(text);
+    // Declared first so it runs last: the parse tree and its facts are gone
+    // before the arena they live in is reset, on every path out.
+    struct ResetOnExit {
+      Arena* arena;
+      ~ResetOnExit() {
+        if (arena != nullptr) arena->Reset();
+      }
+    } reset{scratch};
+    sql::StatementPtr stmt = scratch != nullptr
+                                 ? sql::ParseStatement(text, scratch, tokens)
+                                 : sql::ParseStatement(text);
     if (stmt == nullptr || stmt->kind == sql::StatementKind::kUnknown) {
       return {false, "rewritten SQL does not re-parse cleanly"};
     }

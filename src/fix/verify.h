@@ -105,12 +105,18 @@ struct VerifyVerdict {
 /// Verification verdict per unique (type, original, rewritten statements)
 /// proposal. Owned by the AnalysisSession so verdicts persist across
 /// Check()/Snapshot() calls — Tier 3 is the expensive tier, and workloads
-/// repeat the same offending shapes constantly.
+/// repeat the same offending shapes constantly. The session's memo holds
+/// workload-scope proposals only: a statement-local proposal is verified
+/// directly on a fix-cache miss (FixEngine::SuggestFix with
+/// memoize_verdict off), because the per-group fix cache replays its whole
+/// fix afterwards and a memo entry for it would never be read.
 using VerifyMemo = std::unordered_map<std::string, VerifyVerdict>;
 
 /// \brief Pipeline telemetry (CLI stderr summary, server `stats` op).
 /// Tier buckets count suggested kRewrite fixes by the tier they reached;
 /// `demoted` counts proposals the pipeline pushed back to textual guidance.
+/// `memo_hits` + `memo_misses` count the proposals that reached
+/// verification; a direct (unmemoized) verification counts as a miss.
 struct VerifyStats {
   size_t tier_parse = 0;
   size_t tier_analysis = 0;

@@ -1,7 +1,9 @@
 #include "ranking/model.h"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 namespace sqlcheck {
 
@@ -23,9 +25,8 @@ double RankingModel::Score(const ApMetrics& m) const {
          weights_.a * static_cast<double>(m.accuracy);
 }
 
-RankedDetection RankingModel::ScoreDetection(Detection detection) const {
-  RankedDetection ranked;
-  ranked.metrics = metrics_.For(detection.type);
+ApMetrics RankingModel::QueryAwareMetrics(const Detection& detection) const {
+  ApMetrics metrics = metrics_.For(detection.type);
 
   // Query-aware adjustment (§5.2): map the offending statement to the
   // standard query types. A detection on a pure read statement cannot buy
@@ -33,43 +34,64 @@ RankedDetection RankingModel::ScoreDetection(Detection detection) const {
   if (detection.stmt != nullptr) {
     switch (detection.stmt->kind) {
       case sql::StatementKind::kSelect:
-        ranked.metrics.write_speedup = 0.0;
+        metrics.write_speedup = 0.0;
         break;
       case sql::StatementKind::kInsert:
       case sql::StatementKind::kUpdate:
       case sql::StatementKind::kDelete:
-        ranked.metrics.read_speedup = 0.0;
+        metrics.read_speedup = 0.0;
         break;
       default:
         break;  // DDL detections keep the full profile
     }
   }
+  return metrics;
+}
+
+RankedDetection RankingModel::ScoreDetection(Detection detection) const {
+  RankedDetection ranked;
+  ranked.metrics = QueryAwareMetrics(detection);
   ranked.score = Score(ranked.metrics);
   ranked.detection = std::move(detection);
   return ranked;
 }
 
 std::vector<RankedDetection> RankingModel::Rank(std::vector<Detection> detections) const {
-  std::vector<RankedDetection> ranked;
-  ranked.reserve(detections.size());
-  for (Detection& d : detections) ranked.push_back(ScoreDetection(std::move(d)));
+  // Sort a permutation, not the detections: each RankedDetection carries
+  // four strings, so sorting them directly moves every one of them
+  // O(log n) times. The stable sort over (key, index) pairs yields exactly
+  // the order a stable sort of the detections would, ties included, and
+  // each detection then moves once, into its ranked slot.
+  struct Key {
+    int ap_count;  ///< APs on the detection's query (0 under kByScore).
+    double score;
+    size_t index;
+  };
+  const size_t n = detections.size();
+  std::vector<ApMetrics> metrics;
+  std::vector<Key> keys;
+  metrics.reserve(n);
+  keys.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    metrics.push_back(QueryAwareMetrics(detections[i]));
+    keys.push_back({0, Score(metrics.back()), i});
+  }
 
   if (mode_ == InterQueryMode::kByApCount) {
     // ❶ queries with more APs first; score breaks ties within and across.
-    std::map<std::string, int> per_query;
-    for (const auto& r : ranked) ++per_query[r.detection.query];
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [&](const RankedDetection& a, const RankedDetection& b) {
-                       int ca = per_query[a.detection.query];
-                       int cb = per_query[b.detection.query];
-                       if (ca != cb) return ca > cb;
-                       return a.score > b.score;
-                     });
-  } else {
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const RankedDetection& a, const RankedDetection& b) {
-                       return a.score > b.score;
-                     });
+    std::unordered_map<std::string_view, int> per_query;
+    for (const Detection& d : detections) ++per_query[d.query];
+    for (Key& key : keys) key.ap_count = per_query[detections[key.index].query];
+  }
+  std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.ap_count != b.ap_count) return a.ap_count > b.ap_count;
+    return a.score > b.score;
+  });
+
+  std::vector<RankedDetection> ranked;
+  ranked.reserve(n);
+  for (const Key& key : keys) {
+    ranked.push_back({std::move(detections[key.index]), key.score, metrics[key.index]});
   }
   return ranked;
 }

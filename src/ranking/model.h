@@ -71,6 +71,9 @@ class RankingModel {
   const RankingWeights& weights() const { return weights_; }
 
  private:
+  /// The detection's AP metrics with the query-aware adjustment applied.
+  ApMetrics QueryAwareMetrics(const Detection& detection) const;
+
   RankingWeights weights_;
   InterQueryMode mode_;
   MetricsStore metrics_;

@@ -111,6 +111,7 @@ std::vector<Detection> FanOutDetections(const Context& context, const QueryGroup
     size_t g = groups.group[i];
     std::vector<Detection>& buffer = per_group[g];
     bool last_occurrence = --remaining[g] == 0;
+    const size_t first = detections.size();
     if (rep == i) {
       // The representative's detections are already correctly based; move
       // them when no later duplicate still needs the originals.
@@ -119,19 +120,18 @@ std::vector<Detection> FanOutDetections(const Context& context, const QueryGroup
       } else {
         for (const auto& d : buffer) detections.push_back(d);
       }
-      continue;
-    }
-    if (last_occurrence) {
+    } else if (last_occurrence) {
       // Final fan-out of this group: rebase the buffer in place and move it
       // out instead of copying every string field one more time.
       for (auto& d : buffer) {
         detections.push_back(RebaseDetection(std::move(d), queries[rep], queries[i]));
       }
-      continue;
+    } else {
+      for (const auto& d : buffer) {
+        detections.push_back(RebaseDetection(d, queries[rep], queries[i]));
+      }
     }
-    for (const auto& d : buffer) {
-      detections.push_back(RebaseDetection(d, queries[rep], queries[i]));
-    }
+    for (size_t k = first; k < detections.size(); ++k) detections[k].statement = i;
   }
   for (auto& d : data_detections) detections.push_back(std::move(d));
   return detections;

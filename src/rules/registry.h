@@ -91,8 +91,9 @@ std::vector<Detection> DetectAntiPatterns(const Context& context,
 
 /// \brief Fans per-unique-group query-rule detection buffers back out to
 /// every statement occurrence in workload order — rebasing each detection's
-/// `query`/`stmt` from the group representative onto the occurrence — then
-/// appends the data-rule stream. `per_group[u]` must hold the detections of
+/// `query`/`stmt` from the group representative onto the occurrence and
+/// stamping Detection::statement with the occurrence's index — then appends
+/// the data-rule stream. `per_group[u]` must hold the detections of
 /// group `groups.unique[u]`'s representative, in registry rule order.
 ///
 /// This is the single serialization point for detection streams: both the

@@ -71,6 +71,12 @@ struct Detection {
   std::string query;    ///< Offending statement text ("" for data detections).
   const sql::Statement* stmt = nullptr;  ///< Parse tree for ap-fix (may be null).
   std::string message;  ///< Human-readable diagnosis.
+  /// Workload index of the statement whose text `query` is, stamped by the
+  /// fan-out (FanOutDetections, AnalysisSession::Check); kNoStatement for
+  /// data detections and detections that never went through one.
+  size_t statement = kNoStatement;
+
+  static constexpr size_t kNoStatement = static_cast<size_t>(-1);
 };
 
 /// \brief Detector configuration: which analyses run and the rule thresholds

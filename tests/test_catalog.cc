@@ -265,6 +265,64 @@ std::string Answers(const Catalog& catalog) {
   return out;
 }
 
+// Randomly re-cases `name`: lookups must not care how a name is spelled.
+std::string Recase(std::string_view name, std::mt19937& rng) {
+  std::string out(name);
+  for (char& c : out) {
+    if (std::uniform_int_distribution<int>(0, 1)(rng) == 1) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    } else {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  return out;
+}
+
+// Describes the first place where the name lookups or the enumeration order
+// disagree with a linear scan, or "": Tables() and Indexes() come out in
+// lowercased-name order, FindTable/FindIndex under any casing return what
+// a scan finds, and a name that was never declared returns null.
+std::string LookupMismatch(const Catalog& catalog, std::mt19937& rng) {
+  const std::vector<const TableSchema*> tables = catalog.Tables();
+  const std::vector<const IndexSchema*> indexes = catalog.Indexes();
+  if (tables.size() != catalog.table_count()) return "Tables() size";
+  for (size_t k = 1; k < tables.size(); ++k) {
+    if (!(ToLower(tables[k - 1]->name) < ToLower(tables[k]->name))) {
+      return "Tables() order at " + tables[k]->name;
+    }
+  }
+  for (size_t k = 1; k < indexes.size(); ++k) {
+    if (!(ToLower(indexes[k - 1]->name) < ToLower(indexes[k]->name))) {
+      return "Indexes() order at " + indexes[k]->name;
+    }
+  }
+  for (const auto& name : kTables) {
+    const TableSchema* scanned = nullptr;
+    for (const auto* table : tables) {
+      if (EqualsIgnoreCase(table->name, name)) scanned = table;
+    }
+    const std::string probe = Recase(name, rng);
+    if (catalog.FindTable(probe) != scanned) return "FindTable(" + probe + ")";
+  }
+  for (const auto& name : kIndexNames) {
+    const IndexSchema* scanned = nullptr;
+    for (const auto* index : indexes) {
+      if (EqualsIgnoreCase(index->name, name)) scanned = index;
+    }
+    const std::string probe = Recase(name, rng);
+    if (catalog.FindIndex(probe) != scanned) return "FindIndex(" + probe + ")";
+  }
+  for (const char* missing : {"no_such_name", "T_", "orders_", "ix", ""}) {
+    if (catalog.FindTable(missing) != nullptr) {
+      return std::string("FindTable(") + missing + ")";
+    }
+    if (catalog.FindIndex(missing) != nullptr) {
+      return std::string("FindIndex(") + missing + ")";
+    }
+  }
+  return "";
+}
+
 struct RandomDdl {
   std::string sql;
   sql::StatementKind kind;
@@ -310,6 +368,7 @@ RandomDdl NextDdl(std::mt19937& rng) {
 TEST(CatalogIndexDifferentialTest, SecondaryIndexesMatchLinearScan) {
   for (uint32_t seed : {1u, 7u, 42u, 1234u, 99991u}) {
     std::mt19937 rng(seed);
+    std::mt19937 casing(seed ^ 0xca5eu);
     Catalog catalog;
     std::string trace;
     for (int step = 0; step < 400; ++step) {
@@ -323,18 +382,24 @@ TEST(CatalogIndexDifferentialTest, SecondaryIndexesMatchLinearScan) {
       catalog.ApplyDdl(*stmt);  // errors (duplicates, missing names) are part of the mix
 
       ASSERT_EQ(FirstMismatch(catalog), "") << "seed " << seed << " after:\n" << trace;
+      ASSERT_EQ(LookupMismatch(catalog, casing), "") << "seed " << seed << " after:\n"
+                                                     << trace;
       // A copy taken before the step is unaffected by it.
       ASSERT_EQ(FirstMismatch(before), "") << "seed " << seed << " copy:\n" << trace;
+      ASSERT_EQ(LookupMismatch(before, casing), "") << "seed " << seed;
       ASSERT_EQ(Answers(before), answers_before) << "seed " << seed;
       // Copied and moved catalogs answer the same, from their own storage.
       Catalog copy = catalog;
       ASSERT_EQ(FirstMismatch(copy), "") << "seed " << seed;
+      ASSERT_EQ(LookupMismatch(copy, casing), "") << "seed " << seed;
       Catalog moved = std::move(copy);
       ASSERT_EQ(FirstMismatch(moved), "") << "seed " << seed;
+      ASSERT_EQ(LookupMismatch(moved, casing), "") << "seed " << seed;
       ASSERT_EQ(Answers(moved), Answers(catalog)) << "seed " << seed;
       Catalog assigned;
       assigned = std::move(moved);
       ASSERT_EQ(FirstMismatch(assigned), "") << "seed " << seed;
+      ASSERT_EQ(LookupMismatch(assigned, casing), "") << "seed " << seed;
       ASSERT_EQ(Answers(assigned), Answers(catalog)) << "seed " << seed;
     }
   }

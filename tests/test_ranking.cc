@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace sqlcheck {
 namespace {
 
@@ -105,6 +111,79 @@ TEST(MetricsStoreTest, RecordObservationBlends) {
   const ApMetrics& after = store.For(AntiPattern::kIndexUnderuse);
   EXPECT_NEAR(after.read_speedup, 0.5 * before + 0.5 * 3.0, 1e-9);
   EXPECT_EQ(after.accuracy, 1);  // binary flags stick
+}
+
+
+// The reference ordering: a stable sort of the scored detections themselves,
+// with the comparators Rank used before it sorted a permutation.
+std::vector<RankedDetection> ReferenceRank(const RankingModel& model,
+                                           const std::vector<Detection>& detections,
+                                           InterQueryMode mode) {
+  std::vector<RankedDetection> ranked;
+  for (const Detection& d : detections) ranked.push_back(model.ScoreDetection(d));
+  if (mode == InterQueryMode::kByApCount) {
+    std::map<std::string, int> per_query;
+    for (const auto& r : ranked) ++per_query[r.detection.query];
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [&](const RankedDetection& a, const RankedDetection& b) {
+                       int ca = per_query[a.detection.query];
+                       int cb = per_query[b.detection.query];
+                       if (ca != cb) return ca > cb;
+                       return a.score > b.score;
+                     });
+  } else {
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const RankedDetection& a, const RankedDetection& b) {
+                       return a.score > b.score;
+                     });
+  }
+  return ranked;
+}
+
+TEST(RankingModelTest, PermutationMatchesStableSortReference) {
+  // Few types, three statement kinds and a small pool of repeated query
+  // texts: scores tie heavily and per-query counts tie too, so any drift in
+  // tie-breaking shows.
+  sql::SelectStatement select_stmt;
+  sql::InsertStatement insert_stmt;
+  const std::vector<const sql::Statement*> stmts = {nullptr, &select_stmt, &insert_stmt};
+  const std::vector<AntiPattern> types = {
+      AntiPattern::kColumnWildcard, AntiPattern::kGenericPrimaryKey,
+      AntiPattern::kMultiValuedAttribute, AntiPattern::kEnumeratedTypes,
+      AntiPattern::kPatternMatching};
+  for (uint32_t seed : {1u, 7u, 1234u}) {
+    std::mt19937 rng(seed);
+    auto draw = [&](size_t n) {
+      return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+    };
+    std::vector<Detection> detections;
+    for (int i = 0; i < 2000; ++i) {
+      Detection d;
+      d.type = types[draw(types.size())];
+      d.stmt = stmts[draw(stmts.size())];
+      const size_t q = draw(60);
+      d.query = q == 0 ? "" : "SELECT * FROM t" + std::to_string(q);
+      d.message = "d" + std::to_string(i);  // identifies the detection
+      detections.push_back(std::move(d));
+    }
+    for (InterQueryMode mode : {InterQueryMode::kByScore, InterQueryMode::kByApCount}) {
+      for (const RankingWeights& weights : {RankingWeights::C1(), RankingWeights::C2()}) {
+        RankingModel model(weights, mode);
+        std::vector<RankedDetection> expected = ReferenceRank(model, detections, mode);
+        std::vector<RankedDetection> actual = model.Rank(detections);
+        ASSERT_EQ(actual.size(), expected.size());
+        for (size_t k = 0; k < actual.size(); ++k) {
+          ASSERT_EQ(actual[k].detection.message, expected[k].detection.message)
+              << "seed " << seed << " position " << k;
+          ASSERT_EQ(actual[k].score, expected[k].score);
+          ASSERT_EQ(actual[k].detection.query, expected[k].detection.query);
+          ASSERT_EQ(actual[k].detection.stmt, expected[k].detection.stmt);
+          ASSERT_EQ(actual[k].metrics.read_speedup, expected[k].metrics.read_speedup);
+          ASSERT_EQ(actual[k].metrics.write_speedup, expected[k].metrics.write_speedup);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -299,6 +299,49 @@ TEST(VerifyRewriteTest, RejectsUnparseableAndStillBrokenRewrites) {
   EXPECT_TRUE(VerifyRewrite(clean, wildcard, context, DetectorConfig{}).ok);
 }
 
+TEST(VerifyRewriteTest, ScratchArenaGivesTheSameChecksAndStaysFlat) {
+  Context context = BuildContext("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER);");
+  RuleRegistry registry = RuleRegistry::Default();
+  const Rule* wildcard = registry.FindRule(AntiPattern::kColumnWildcard);
+  ASSERT_NE(wildcard, nullptr);
+
+  auto rewrite = [](std::vector<std::string> statements) {
+    Fix fix;
+    fix.type = AntiPattern::kColumnWildcard;
+    fix.kind = FixKind::kRewrite;
+    fix.statements = std::move(statements);
+    return fix;
+  };
+  const std::vector<Fix> cases = {
+      rewrite({"SELEKT ( FROM"}),                         // garbled
+      rewrite({"SELECT a FROM t;", "SELECT * FROM t;"}),  // still broken, second
+      rewrite({"SELECT a, b FROM t WHERE a > 1;"}),       // clean
+      rewrite({"SELECT a FROM t;", "SELECT b FROM t;"}),  // clean, two statements
+  };
+  Arena scratch;
+  sql::TokenBuffer tokens;
+  for (const Fix& fix : cases) {
+    for (const Rule* rule : {wildcard, static_cast<const Rule*>(nullptr)}) {
+      RewriteCheck heap = VerifyRewrite(fix, rule, context, DetectorConfig{});
+      RewriteCheck arena =
+          VerifyRewrite(fix, rule, context, DetectorConfig{}, &scratch, &tokens);
+      EXPECT_EQ(arena.ok, heap.ok) << fix.statements[0];
+      EXPECT_EQ(arena.reason, heap.reason) << fix.statements[0];
+      // Reset on every return path, failures included.
+      EXPECT_EQ(scratch.bytes_used(), 0u) << fix.statements[0];
+    }
+  }
+
+  // Steady state: after the first verification the arena reuses its chunks.
+  VerifyRewrite(cases[2], wildcard, context, DetectorConfig{}, &scratch, &tokens);
+  const size_t reserved = scratch.bytes_reserved();
+  for (int i = 0; i < 1000; ++i) {
+    const Fix& fix = cases[static_cast<size_t>(i) % cases.size()];
+    VerifyRewrite(fix, wildcard, context, DetectorConfig{}, &scratch, &tokens);
+    ASSERT_EQ(scratch.bytes_reserved(), reserved) << "verification " << i;
+  }
+}
+
 TEST(VerifyRewriteTest, EngineDemotesFailingProposalsWithReason) {
   /// A deliberately broken action half: proposes the offending statement
   /// itself as the "fix".

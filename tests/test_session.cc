@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -375,6 +376,165 @@ TEST(SessionTest, MidSessionQuotaBreachIsSticky) {
 
   EXPECT_EQ(session.AddScript(second), 0u);  // sticky: the retry is refused too
   EXPECT_EQ(session.statement_count(), usage_before.statements);
+}
+
+// --------------------------------- fix path ---------------------------------
+
+// Leading-wildcard LIKEs: Pattern Matching is statement-local on both halves,
+// so its fixes go through the per-group fix cache.
+const char* kLikeScript = R"sql(
+CREATE TABLE users (id INT PRIMARY KEY, email VARCHAR(64), name VARCHAR(64));
+SELECT id FROM users WHERE email LIKE '%@example.com';
+select id from users where email like '%@example.com';
+SELECT  id  FROM users WHERE email LIKE '%@example.com'  -- spaced
+;
+SELECT id FROM users WHERE name LIKE '%son';
+SELECT * FROM users WHERE name LIKE '%ann%';
+SELECT id FROM users WHERE email LIKE '%@example.com';
+)sql";
+
+TEST(SessionFixPathTest, EverySpellingOfADuplicateGetsItsOwnAnchor) {
+  AnalysisSession session;
+  session.AddScript(kLikeScript);
+  Report report = session.Snapshot();
+  const std::vector<QueryFacts>& queries = session.context().queries();
+  size_t pattern_rewrites = 0;
+  std::set<std::string> anchors;
+  for (const Finding& f : report.findings) {
+    const Detection& d = f.ranked.detection;
+    ASSERT_LT(d.statement, queries.size());
+    EXPECT_EQ(d.query, queries[d.statement].raw_sql);
+    if (d.type != AntiPattern::kPatternMatching || f.fix.kind != FixKind::kRewrite) {
+      continue;
+    }
+    ++pattern_rewrites;
+    EXPECT_EQ(f.fix.original_sql, queries[d.statement].raw_sql);
+    if (f.fix.original_sql.find("example.com") != std::string::npos) {
+      anchors.insert(f.fix.original_sql);
+    }
+  }
+  EXPECT_EQ(pattern_rewrites, 5u);
+  // Three spellings of the same statement (the fourth occurrence repeats
+  // the first verbatim), each anchored to itself.
+  EXPECT_EQ(anchors.size(), 3u);
+  EXPECT_GE(session.fix_cache_hits(), 3u);
+  // And the replayed fixes are what the reference pipeline computes cold.
+  std::vector<std::string> statements;
+  for (std::string_view piece : sql::SplitStatements(kLikeScript)) {
+    statements.emplace_back(piece);
+  }
+  EXPECT_EQ(Serialize(report), Serialize(ReferencePipeline(statements, {})));
+}
+
+TEST(SessionFixPathTest, SecondSnapshotServesCachedFixesWithoutVerifying) {
+  AnalysisSession session;
+  session.AddScript(kScript);
+  session.AddScript(kLikeScript);
+  Report first = session.Snapshot();
+  const size_t hits = session.fix_cache_hits();
+  const size_t misses = session.fix_cache_misses();
+  const size_t verify_misses = session.verify_stats().memo_misses;
+  ASSERT_GT(misses, 0u);
+
+  Report second = session.Snapshot();
+  EXPECT_EQ(Serialize(second), Serialize(first));
+  // Every cacheable finding of the first report is a cache hit now.
+  EXPECT_EQ(session.fix_cache_misses(), misses);
+  EXPECT_EQ(session.fix_cache_hits(), hits + hits + misses);
+  // Nothing is verified afresh: statement-local fixes come from the fix
+  // cache, workload-scope verdicts from the verdict memo.
+  EXPECT_EQ(session.verify_stats().memo_misses, verify_misses);
+}
+
+TEST(SessionFixPathTest, CheckSuggestsTheFixesSnapshotDoes) {
+  const std::string script = std::string(kScript) + kLikeScript;
+  AnalysisSession checked;
+  Report delta = checked.Check(script);
+  AnalysisSession snapshotted;
+  snapshotted.AddScript(script);
+  // No database is attached, so the snapshot has no data findings either.
+  EXPECT_EQ(Serialize(delta), Serialize(snapshotted.Snapshot()));
+
+  // Appended after a history, Check's fixes match the snapshot's for the
+  // same statements.
+  AnalysisSession session;
+  session.AddScript(kScript);
+  Report appended = session.Check(kLikeScript);
+  Report full = session.Snapshot();
+  ASSERT_FALSE(appended.empty());
+  for (const Finding& f : appended.findings) {
+    const Detection& d = f.ranked.detection;
+    bool matched = false;
+    for (const Finding& g : full.findings) {
+      const Detection& e = g.ranked.detection;
+      if (e.statement != d.statement || e.type != d.type || e.table != d.table ||
+          e.column != d.column) {
+        continue;
+      }
+      matched = true;
+      EXPECT_EQ(f.fix.kind, g.fix.kind) << d.query;
+      EXPECT_EQ(f.fix.original_sql, g.fix.original_sql);
+      EXPECT_EQ(f.fix.statements, g.fix.statements);
+      EXPECT_EQ(f.fix.verify_tier, g.fix.verify_tier);
+      EXPECT_EQ(f.fix.explanation, g.fix.explanation);
+    }
+    EXPECT_TRUE(matched) << d.query;
+  }
+}
+
+TEST(SessionFixPathTest, QueryThatIsNotTheStatementFallsBackToTextLookup) {
+  // A statement-local Pattern Matching rule that reports statement B's
+  // finding against statement A's text. Its fix must come from A's group
+  // (the text lookup), not from the group of B, the statement it is
+  // stamped with — B's group caches a different rewrite under the same key.
+  static constexpr const char* kA = "SELECT id FROM users WHERE email LIKE '%@a.com'";
+  static constexpr const char* kB = "SELECT id FROM users WHERE email LIKE '%@b.com'";
+  class ElsewhereRule final : public Rule {
+   public:
+    AntiPattern type() const override { return AntiPattern::kPatternMatching; }
+    QueryRuleScope query_scope() const override {
+      return QueryRuleScope::kStatementLocal;
+    }
+    void CheckQuery(const QueryFacts& facts, const Context&, const DetectorConfig&,
+                    std::vector<Detection>* out) const override {
+      if (facts.raw_sql != kB) return;
+      Detection d;
+      d.type = type();
+      d.table = "users";
+      d.column = "email";
+      d.query = kA;
+      d.stmt = facts.stmt;
+      d.message = "elsewhere";
+      out->push_back(std::move(d));
+    }
+  };
+
+  AnalysisSession session;
+  session.RegisterRule(std::make_unique<ElsewhereRule>());
+  session.AddScript(std::string(kA) + ";\n" + kB + ";\n");
+  Report report = session.Snapshot();
+  const Fix* a_fix = nullptr;
+  const Fix* b_fix = nullptr;
+  const Finding* elsewhere = nullptr;
+  for (const Finding& f : report.findings) {
+    const Detection& d = f.ranked.detection;
+    if (d.type != AntiPattern::kPatternMatching) continue;
+    if (d.message == "elsewhere") {
+      elsewhere = &f;
+    } else if (d.query == kA) {
+      a_fix = &f.fix;
+    } else if (d.query == kB) {
+      b_fix = &f.fix;
+    }
+  }
+  ASSERT_NE(a_fix, nullptr);
+  ASSERT_NE(b_fix, nullptr);
+  ASSERT_NE(elsewhere, nullptr);
+  ASSERT_EQ(a_fix->kind, FixKind::kRewrite);
+  EXPECT_NE(a_fix->statements, b_fix->statements);
+  EXPECT_EQ(elsewhere->ranked.detection.statement, 1u);  // stamped with B
+  EXPECT_EQ(elsewhere->fix.original_sql, kA);
+  EXPECT_EQ(elsewhere->fix.statements, a_fix->statements);
 }
 
 TEST(SessionTest, CustomRuleRegisteredLateCoversEarlierStatements) {

@@ -337,6 +337,49 @@ TEST(VerifyExecEngineTest, SessionMemoizesVerdictsAcrossSnapshots) {
   EXPECT_EQ(session.verify_stats().exec_runs, runs_after_first);
 }
 
+TEST(VerifyExecEngineTest, StatsTierBucketsMatchTheFirstReport) {
+  // Every statement is unique, so every rewrite in the first report was
+  // verified for it: statement-local ones directly (the fix cache is their
+  // memo), workload-scope ones through the verdict memo. Both count.
+  SqlCheckOptions options;
+  options.verify_exec.mode = ExecVerifyMode::kOn;
+  AnalysisSession session(options);
+  session.AddScript(std::string(kUsersDdl) +
+                    "SELECT * FROM users;"
+                    "SELECT id FROM users WHERE name LIKE '%son';"
+                    "SELECT * FROM users WHERE SOUNDEX(name) = 'S530';"
+                    "INSERT INTO users VALUES (1, 'ann', 'hi');");
+  Report report = session.Snapshot();
+
+  VerifyStats expected;
+  size_t statement_local_rewrites = 0;
+  for (const Finding& f : report.findings) {
+    const Fix& fix = f.fix;
+    if (fix.kind == FixKind::kRewrite) {
+      switch (fix.verify_tier) {
+        case VerifyTier::kParse: ++expected.tier_parse; break;
+        case VerifyTier::kAnalysis: ++expected.tier_analysis; break;
+        case VerifyTier::kExec: ++expected.tier_exec; break;
+        case VerifyTier::kNone: break;
+      }
+      if (fix.type == AntiPattern::kPatternMatching) ++statement_local_rewrites;
+    } else if (!fix.verify_note.empty()) {
+      ++expected.demoted;
+    }
+  }
+  const VerifyStats& stats = session.verify_stats();
+  EXPECT_GE(statement_local_rewrites, 1u);
+  EXPECT_GE(expected.tier_exec, 2u);
+  EXPECT_GE(expected.tier_analysis, 1u);  // the infeasible SOUNDEX original
+  EXPECT_EQ(stats.tier_parse, expected.tier_parse);
+  EXPECT_EQ(stats.tier_analysis, expected.tier_analysis);
+  EXPECT_EQ(stats.tier_exec, expected.tier_exec);
+  EXPECT_EQ(stats.demoted, expected.demoted);
+  EXPECT_EQ(stats.memo_hits, 0u);
+  EXPECT_EQ(stats.memo_misses, expected.tier_parse + expected.tier_analysis +
+                                   expected.tier_exec + expected.demoted);
+}
+
 // ---------------------------------------------------------------------------
 // Corpus property: the table-3 workload under multiple seeds
 // ---------------------------------------------------------------------------
